@@ -196,6 +196,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> dict:
         "status": trajectory.status,
         "infeasible_player": trajectory.infeasible_player,
         "infeasible_round": trajectory.infeasible_round,
+        "failed_player": trajectory.failed_player,
+        "failed_round": trajectory.failed_round,
         "num_rounds": trajectory.num_rounds,
         "num_players": game.num_players,
         "num_constraints": game.num_constraints,
@@ -292,6 +294,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, parallel: int = 1) -
                 "num_rounds": r["num_rounds"],
                 "infeasible_player": r["infeasible_player"],
                 "infeasible_round": r["infeasible_round"],
+                "failed_player": r["failed_player"],
+                "failed_round": r["failed_round"],
             }
             for r in results
         },

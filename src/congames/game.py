@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 
+from .gp import FactorizationError
 from .kernels import (
     KernelSpec,
     Product,
@@ -123,6 +124,8 @@ class Trajectory:
     status: str = "completed"
     infeasible_player: int | None = None
     infeasible_round: int | None = None
+    failed_player: int | None = None
+    failed_round: int | None = None
 
     @property
     def num_rounds(self) -> int:
@@ -289,8 +292,10 @@ def run(
 ) -> Trajectory:
     """Simulate the repeated game round by round.
 
-    Halts early (with status recorded) if any player declares
-    infeasibility; no records exist for or after that round.
+    Halts early, with the status, player and round recorded, if a player
+    declares infeasibility (``infeasibility_declared``) or a player's GP
+    factor breaks down on its feedback (``factorization_error``); no
+    records exist for or after that round.
     """
     if len(players) != game.num_players:
         raise ValueError("player count does not match the game")
@@ -336,10 +341,18 @@ def run(
         ]
         for i, player in enumerate(players):
             opponents = actions[:i] + actions[i + 1:]
-            player.observe_feedback(
-                view(player, zi), actions[i], opponents,
-                noisy_rewards[i], noisy_constraints[i],
-            )
+            try:
+                player.observe_feedback(
+                    view(player, zi), actions[i], opponents,
+                    noisy_rewards[i], noisy_constraints[i],
+                )
+            except FactorizationError:
+                return Trajectory(
+                    records,
+                    status="factorization_error",
+                    failed_player=i,
+                    failed_round=t,
+                )
         records.append(
             RoundRecord(
                 t=t,

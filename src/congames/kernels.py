@@ -31,6 +31,9 @@ class SquaredExponential:
         d2 = _sqdists(X, Y)
         return np.exp(-d2 / (2.0 * self.lengthscale**2))
 
+    def diagonal(self, X: np.ndarray) -> np.ndarray:
+        return np.ones(len(X))
+
 
 @dataclass(frozen=True)
 class Matern:
@@ -62,6 +65,9 @@ class Matern:
         )
         return out
 
+    def diagonal(self, X: np.ndarray) -> np.ndarray:
+        return np.ones(len(X))
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -79,6 +85,10 @@ class Polynomial:
 
     def pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return (self.bias + X @ Y.T / self.lengthscale) ** self.degree
+
+    def diagonal(self, X: np.ndarray) -> np.ndarray:
+        sq = np.einsum("ij,ij->i", X, X)
+        return (self.bias + sq / self.lengthscale) ** self.degree
 
 
 @dataclass(frozen=True)
@@ -98,12 +108,19 @@ class Product:
             raise KernelError("split_index must leave a non-empty left block")
 
     def pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        s = self.split_index
-        if s >= X.shape[1]:
-            raise KernelError("split_index must leave a non-empty right block")
+        s = self._split(X)
         return self.left.pairwise(X[:, :s], Y[:, :s]) * self.right.pairwise(
             X[:, s:], Y[:, s:]
         )
+
+    def diagonal(self, X: np.ndarray) -> np.ndarray:
+        s = self._split(X)
+        return self.left.diagonal(X[:, :s]) * self.right.diagonal(X[:, s:])
+
+    def _split(self, X: np.ndarray) -> int:
+        if self.split_index >= X.shape[1]:
+            raise KernelError("split_index must leave a non-empty right block")
+        return self.split_index
 
 
 KernelSpec = SquaredExponential | Matern | Polynomial | Product
@@ -139,6 +156,11 @@ def cross(spec: KernelSpec, X, Y) -> np.ndarray:
             f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}"
         )
     return spec.pairwise(X, Y)
+
+
+def diag(spec: KernelSpec, X) -> np.ndarray:
+    """The prior variances k(x, x) at the rows of X."""
+    return spec.diagonal(_as_rows(X))
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:

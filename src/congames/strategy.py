@@ -213,6 +213,8 @@ class Player:
         self.rounds = 0
         self.clamp_events = 0
         self.infeasible = False
+        self._mask_key: tuple | None = None
+        self._mask: np.ndarray | None = None
         if config.algorithm == RANDOM:
             self.reward_gp = None
             self.constraint_gps = []
@@ -274,6 +276,19 @@ class Player:
             mask &= lcbs <= 0.0
         return mask
 
+    def _round_mask(self, z) -> np.ndarray:
+        """:meth:`feasible_mask`, reused until a constraint GP changes.
+
+        The filter queries own actions only, so the mask depends on the
+        constraint posteriors and their betas, not on the context; both
+        change only when a constraint GP receives an observation.
+        """
+        key = tuple(gp_m.num_observations for gp_m in self.constraint_gps)
+        if key != self._mask_key:
+            self._mask = self.feasible_mask(z)
+            self._mask_key = key
+        return self._mask
+
     def select_action(self, z) -> tuple[int, dict]:
         """Sample a feasible action for context z; raises on infeasibility."""
         cfg = self.config
@@ -284,7 +299,7 @@ class Player:
             return action, {"p": np.full(cfg.num_actions, 1.0 / cfg.num_actions)}
         key = self.router.route(z)
         p = self.router.predict(key)
-        mask = self.feasible_mask(z)
+        mask = self._round_mask(z)
         if check_infeasibility(mask):
             self.infeasible = True
             raise InfeasibilityDeclared(cfg.player_index, z)
@@ -311,7 +326,7 @@ class Player:
         self.clamp_events += int(np.sum(ucbs < 0.0))
         rhat = np.clip(ucbs, 0.0, 1.0)
 
-        mask = self.feasible_mask(z)
+        mask = self._round_mask(z)
         p = self.router.predict(key)
         state = self.router.states[key]
         if cfg.expert_rule == ADA_NORMAL_HEDGE:

@@ -8,6 +8,7 @@ import pytest
 from congames.cli import main, run_seed
 from congames.config import parse_config
 from congames.game import GameDefinition
+from congames.gp import FactorizationError, GpModel
 
 
 def config_doc(**overrides):
@@ -106,6 +107,35 @@ class TestRunCommand:
         if status == "error":
             assert code == 2
             assert "0" in summary["errors"]
+
+
+    def test_factorization_error_is_a_run_status(self, monkeypatch, tmp_path):
+        real = GpModel.add_observation
+
+        def breaks_in_round_3(self, x, y):
+            if self.num_observations == 2:
+                raise FactorizationError("forced breakdown")
+            return real(self, x, y)
+
+        monkeypatch.setattr(GpModel, "add_observation", breaks_in_round_3)
+        doc = config_doc(seeds=[0], players=[
+            {"algorithm": "random"},
+            {"algorithm": "cz_ada_normal_gp", "beta_scale": 0.2},
+        ])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["statuses"] == {"0": "factorization_error"}
+        assert summary["errors"] == {}
+        per_seed = summary["per_seed"]["0"]
+        assert per_seed["failed_player"] == 1
+        assert per_seed["failed_round"] == 3
+        assert per_seed["num_rounds"] == 2
+        assert per_seed["infeasible_player"] is None
+        lines = (out / "rounds_seed0.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2
 
 
 class TestGenerateGame:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congames.gp import ConfidenceParams, FactorizationError, GpModel, beta
 from congames.kernels import (
@@ -31,14 +33,20 @@ ORACLE_KERNELS = [
 
 
 def dense_posterior(kernel, noise_variance, X, y, queries):
-    """Direct matrix-solve oracle for the posterior mean and std."""
+    """Direct matrix-solve oracle for the posterior mean and std.
+
+    Uses ``solve`` rather than an explicit inverse: with many repeats and
+    little noise K is ill-conditioned, and k' K^-1 k through an inverse then
+    loses about cond(K) * eps, while a backward-stable solve keeps the
+    variance, which is well-conditioned in K, accurate.
+    """
     K = gram(kernel, X) + noise_variance * np.eye(len(X))
-    Kinv = np.linalg.inv(K)
+    alpha = np.linalg.solve(K, y)
     means, stds = [], []
     for q in queries:
         kvec = np.array([evaluate(kernel, x, q) for x in X])
-        means.append(kvec @ Kinv @ y)
-        var = evaluate(kernel, q, q) - kvec @ Kinv @ kvec
+        means.append(kvec @ alpha)
+        var = evaluate(kernel, q, q) - kvec @ np.linalg.solve(K, kvec)
         stds.append(math.sqrt(max(var, 0.0)))
     return np.array(means), np.array(stds)
 
@@ -127,6 +135,15 @@ class TestPosteriorOracle:
         with pytest.raises(ValueError):
             model.add_observation(np.array([0.0]), float("nan"))
 
+    def test_nonfinite_inputs_rejected(self):
+        model = GpModel(SquaredExponential(lengthscale=1.0), 1.0)
+        model.add_observation(np.array([0.0]), 1.0)
+        with pytest.raises(ValueError):
+            model.add_observation(np.array([float("inf")]), 1.0)
+        with pytest.raises(ValueError):
+            model.posterior_batch(np.array([[float("nan")]]))
+        assert model.num_observations == 1
+
     def test_duplicate_points_survive_via_jitter(self):
         # exact duplicates make the noiseless bordered pivot degenerate;
         # observation noise keeps it positive, so this must not raise
@@ -136,6 +153,60 @@ class TestPosteriorOracle:
             model.add_observation(x, 1.0)
         mean, _ = model.posterior(x)
         assert mean == pytest.approx(1.0, abs=1e-3)
+
+
+@st.composite
+def repeated_sequences(draw):
+    """A kernel, a noise level, and observations drawn from a small grid."""
+    kernel = draw(st.sampled_from(ORACLE_KERNELS))
+    dim = kernel.split_index + 1 if isinstance(kernel, Product) else 2
+    point = st.tuples(*[st.integers(0, 2)] * dim)
+    grid = np.array(
+        draw(st.lists(point, min_size=1, max_size=4, unique=True)), dtype=float
+    )
+    picks = draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=40))
+    ys = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(picks), max_size=len(picks)))
+    noise = draw(st.floats(1e-3, 2.0))
+    return kernel, noise, grid, grid[picks], np.array(ys)
+
+
+class TestRepeatedInputs:
+    @given(repeated_sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracle_over_all_observations(self, case):
+        kernel, noise, grid, X, y = case
+        model = GpModel(kernel, noise)
+        for xi, yi in zip(X, y):
+            model.add_observation(xi, yi)
+        assert model.num_observations == len(X)
+        np.testing.assert_array_equal(model.inputs, X)
+        np.testing.assert_array_equal(model.targets, y)
+        means, stds = model.posterior_batch(grid)
+        om, os = dense_posterior(kernel, noise, X, y, grid)
+        np.testing.assert_allclose(means, om, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(stds, os, rtol=0, atol=1e-8)
+        assert model.running_info_gain == pytest.approx(
+            dense_info_gain(kernel, noise, X), rel=0, abs=1e-8
+        )
+
+    def test_factor_grows_with_distinct_inputs_only(self):
+        # 23 distinct inputs outgrow the initial buffers while repeating
+        kernel = SquaredExponential(lengthscale=1.0)
+        model = GpModel(kernel, 0.1)
+        rng = np.random.default_rng(14)
+        X = 0.5 * (np.arange(300) % 23)[:, None]
+        y = rng.normal(size=300)
+        for xi, yi in zip(X, y):
+            model.add_observation(xi, yi)
+        assert model._L.shape == (23, 23)
+        queries = np.linspace(-1.0, 12.0, 30)[:, None]
+        means, stds = model.posterior_batch(queries)
+        om, os = dense_posterior(kernel, 0.1, X, y, queries)
+        np.testing.assert_allclose(means, om, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(stds, os, rtol=0, atol=1e-8)
+        assert model.running_info_gain == pytest.approx(
+            dense_info_gain(kernel, 0.1, X), rel=0, abs=1e-8
+        )
 
 
 class TestInfoGain:

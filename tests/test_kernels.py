@@ -12,6 +12,7 @@ from congames.kernels import (
     Product,
     SquaredExponential,
     cross,
+    diag,
     evaluate,
     gram,
     kernel_from_config,
@@ -185,3 +186,38 @@ class TestConfigRoundtrip:
             Matern(lengthscale=1.0, nu=-1.0)
         with pytest.raises(ValueError):
             Polynomial(bias=1.0, lengthscale=1.0, degree=0)
+
+
+class TestDiag:
+    # general-nu Matern and a nested product on top of the shared specs
+    SPECS = ALL_SPECS + [
+        Matern(lengthscale=0.9, nu=3.5),
+        Polynomial(bias=0.0, lengthscale=1.5, degree=2),
+        Product(
+            left=Product(
+                left=Matern(lengthscale=1.0, nu=3.5),
+                right=Polynomial(bias=0.5, lengthscale=2.0, degree=2),
+                split_index=1,
+            ),
+            right=SquaredExponential(lengthscale=0.5),
+            split_index=3,
+        ),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_evaluate(self, spec):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(9, 4))
+        expected = [evaluate(spec, x, x) for x in X]
+        np.testing.assert_allclose(diag(spec, X), expected, rtol=1e-13, atol=0)
+
+    def test_single_vector_is_one_row(self):
+        spec = Polynomial(bias=1.0, lengthscale=2.0, degree=3)
+        x = np.array([1.0, -2.0])
+        np.testing.assert_allclose(diag(spec, x), [evaluate(spec, x, x)])
+
+    def test_product_needs_right_block(self):
+        spec = Product(left=SquaredExponential(1.0), right=SquaredExponential(1.0),
+                       split_index=2)
+        with pytest.raises(KernelError):
+            diag(spec, np.zeros((3, 2)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from congames import experts
 from congames.gp import ConfidenceParams, GpModel
 from congames.kernels import Product, SquaredExponential
 from congames.strategy import (
@@ -256,3 +257,64 @@ class TestPlayer:
         p1 = Player(make_config(beta_scale=1.0))
         p2 = Player(make_config(beta_scale=0.5))
         assert p2.reward_beta() == pytest.approx(0.5 * p1.reward_beta())
+
+
+class TestRoundMask:
+    """observe_feedback reuses the select_action mask until it goes stale."""
+
+    @staticmethod
+    def trained_player():
+        player = Player(make_config(beta_scale=0.01))
+        for _ in range(30):
+            player.constraint_gps[0].add_observation(np.array([0.0]), 1.0)
+            player.constraint_gps[0].add_observation(np.array([2.0]), -1.0)
+        return player
+
+    @staticmethod
+    def spy_on_masks(monkeypatch):
+        seen = []
+        real = experts.ada_update
+
+        def spy(state, mask, rewards, sampling_dist):
+            seen.append(np.array(mask))
+            return real(state, mask, rewards, sampling_dist)
+
+        monkeypatch.setattr(experts, "ada_update", spy)
+        return seen
+
+    def test_without_select_action(self, monkeypatch):
+        player = self.trained_player()
+        seen = self.spy_on_masks(monkeypatch)
+        expected = player.feasible_mask(1)
+        assert not expected[0] and expected[2]
+        player.observe_feedback(1, 2, (0,), 0.5, [-0.5])
+        np.testing.assert_array_equal(seen, [expected])
+
+    def test_after_several_selects_and_a_stale_mask(self, monkeypatch):
+        player = self.trained_player()
+        seen = self.spy_on_masks(monkeypatch)
+        for z in (0, 1, 3):
+            player.select_action(z)
+        assert player.feasible_mask(1)[1]
+        # constraint data arriving after select_action makes its mask stale
+        for _ in range(30):
+            player.constraint_gps[0].add_observation(np.array([1.0]), 1.0)
+        expected = player.feasible_mask(1)
+        assert not expected[1]
+        player.observe_feedback(1, 2, (0,), 0.5, [-0.5])
+        np.testing.assert_array_equal(seen, [expected])
+
+    def test_one_filter_per_round(self, monkeypatch):
+        calls = []
+        real = Player.feasible_mask
+
+        def counting(self, z):
+            calls.append(z)
+            return real(self, z)
+
+        monkeypatch.setattr(Player, "feasible_mask", counting)
+        player = Player(make_config())
+        for t in range(5):
+            a, _ = player.select_action(t % 4)
+            player.observe_feedback(t % 4, a, (t % 3,), 0.3, [0.1])
+        assert len(calls) == 5
