@@ -12,14 +12,12 @@ from .experts import (
     SleepingExpertState,
     ada_predict,
     ada_update,
-    ada_weight,
     hedge_predict,
     hedge_update,
     sleeping_reward_completion,
 )
 from .game import (
     GameDefinition,
-    RoundRecord,
     Trajectory,
     default_constraint_kernel,
     default_reward_kernel,
@@ -82,13 +80,11 @@ __all__ = [
     "PlayerConfig",
     "Polynomial",
     "Product",
-    "RoundRecord",
     "SleepingExpertState",
     "SquaredExponential",
     "Trajectory",
     "ada_predict",
     "ada_update",
-    "ada_weight",
     "best_feasible_policy",
     "beta",
     "cce_epsilon",

@@ -182,14 +182,17 @@ def run_seed(config: ExperimentConfig, seed: int) -> dict:
                 "violation_bounds": violation_bounds,
             }
 
-    rows = []
-    for t_idx, rec in enumerate(trajectory.records):
-        row = [rec.t, int(rec.context), *rec.actions]
-        for i in range(game.num_players):
-            row.append(report.regret[i][t_idx])
-        for i in range(game.num_players):
-            row.extend(report.violations[i][:, t_idx])
-        rows.append(row)
+    # per round: t, z, the joint action, then each player's regret and
+    # each player's violations
+    T = trajectory.num_rounds
+    labels = np.column_stack(
+        [np.arange(1, T + 1), trajectory.contexts, trajectory.actions]
+    )
+    values = np.column_stack(
+        [report.regret[i] for i in range(game.num_players)]
+        + [report.violations[i].T for i in range(game.num_players)]
+    )
+    rows = [a + b for a, b in zip(labels.tolist(), values.tolist())]
 
     return {
         "seed": seed,
@@ -372,6 +375,9 @@ def cmd_report(args) -> int:
                     },
                 }
             )
+    if not finals:
+        print(f"no per-seed CSV in {out_dir} has a data row", file=sys.stderr)
+        return 1
     keys = [k for k in finals[0] if k.startswith(("regret_", "viol_"))]
     report = {
         "num_seeds": len(finals),

@@ -183,6 +183,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if not contexts:
             raise ConfigError(".context_schedule.contexts", "must be non-empty")
         schedule.contexts = [int(z) for z in contexts]
+        if game.generate is not None:
+            num_contexts = game.generate.num_contexts
+            for z in schedule.contexts:
+                if not 0 <= z < num_contexts:
+                    raise ConfigError(
+                        ".context_schedule.contexts",
+                        f"context {z} is outside [0, {num_contexts})",
+                    )
 
     return ExperimentConfig(
         game=game,

@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# exponents above this are evaluated in log-space to avoid overflow
-_EXP_GUARD = 500.0
-
 
 @dataclass(frozen=True)
 class SleepingExpertState:
@@ -53,22 +50,9 @@ class HedgeState:
         return len(self.log_weights)
 
 
-def ada_weight(R: float, C: float) -> float:
-    """Potential-based weight 0.5*(exp([R+1]+^2/3(C+1)) - exp([R-1]+^2/3(C+1)))."""
-    if C < 0:
-        raise ValueError("C must be nonnegative")
-    denom = 3.0 * (C + 1.0)
-    a = max(R + 1.0, 0.0) ** 2 / denom
-    b = max(R - 1.0, 0.0) ** 2 / denom
-    if a > _EXP_GUARD:
-        # 0.5*e^a*(1 - e^(b-a)); the log-space caller only needs ratios, so
-        # return the dominant term scaled down to the representable range
-        return 0.5 * np.exp(_EXP_GUARD) * (1.0 - np.exp(b - a))
-    return 0.5 * (np.exp(a) - np.exp(b))
-
-
 def _log_ada_weights(R: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """log w(R, C) per expert, -inf where the weight is zero."""
+    """log w(R, C) per expert, -inf where the weight is zero, for the
+    potential weight w = 0.5*(exp([R+1]+^2/3(C+1)) - exp([R-1]+^2/3(C+1)))."""
     denom = 3.0 * (C + 1.0)
     a = np.maximum(R + 1.0, 0.0) ** 2 / denom
     b = np.maximum(R - 1.0, 0.0) ** 2 / denom

@@ -3,7 +3,9 @@
 The engine is the only owner of true reward/constraint values; players
 receive nothing beyond the noisy bandit feedback tuple (own noisy reward,
 own noisy constraint values, opponents' actions), enforced by the call
-signature of ``Player.observe_feedback``.
+signature of ``Player.observe_feedback``.  A played game is a columnar
+``Trajectory`` of contexts, joint actions and noisy feedback; true values
+are not stored, since the game tables give them back with one gather.
 """
 
 from __future__ import annotations
@@ -64,19 +66,31 @@ class GameDefinition:
             return table[:, own_action, z].astype(float)
         return table[:, own_action].astype(float)
 
-    def feasible_actions(self, player: int, z: int) -> np.ndarray:
-        """Boolean mask of actions with all true constraints <= 0."""
-        mask = np.ones(self.num_actions, dtype=bool)
-        for a in range(self.num_actions):
-            mask[a] = bool(np.all(self.constraint_values(player, a, z) <= 0.0))
-        return mask
+    def constraint_grid(self, player: int) -> np.ndarray:
+        """Player's true constraint values over (M, K, Z); context-free
+        (M, K) tables are broadcast along Z and an empty table gives M=0."""
+        table = self.constraints[player]
+        if table.size == 0:
+            return np.zeros((0, self.num_actions, self.num_contexts))
+        if table.ndim == 2:
+            table = table[:, :, None]
+        return np.broadcast_to(
+            table.astype(float, copy=False),
+            (table.shape[0], self.num_actions, self.num_contexts),
+        )
+
+    def feasible_actions(self, player: int, z: int | None = None) -> np.ndarray:
+        """Boolean mask of actions with all true constraints <= 0: shape
+        (K,) at context ``z``, or (Z, K) over every context when ``z`` is
+        None."""
+        mask = np.all(self.constraint_grid(player) <= 0.0, axis=0).T
+        return mask if z is None else mask[z]
 
     def check_feasible(self) -> bool:
         """Every (player, context) admits at least one feasible action."""
         return all(
-            self.feasible_actions(i, z).any()
+            self.feasible_actions(i).any(axis=1).all()
             for i in range(self.num_players)
-            for z in range(self.num_contexts)
         )
 
     def to_json(self) -> str:
@@ -108,19 +122,13 @@ class GameDefinition:
 
 
 @dataclass
-class RoundRecord:
-    t: int
-    context: int | np.ndarray
-    actions: tuple[int, ...]
-    noisy_rewards: np.ndarray
-    noisy_constraints: list[np.ndarray]
-    true_rewards: np.ndarray
-    true_constraints: list[np.ndarray]
-
-
-@dataclass
 class Trajectory:
-    records: list[RoundRecord]
+    """A played game, one row per completed round (row t-1 is round t)."""
+
+    contexts: np.ndarray             # (T,) context ids
+    actions: np.ndarray              # (T, N) joint actions
+    noisy_rewards: np.ndarray        # (T, N) rewards fed back to players
+    noisy_constraints: np.ndarray    # (T, N, M) constraints fed back
     status: str = "completed"
     infeasible_player: int | None = None
     infeasible_round: int | None = None
@@ -129,7 +137,7 @@ class Trajectory:
 
     @property
     def num_rounds(self) -> int:
-        return len(self.records)
+        return len(self.contexts)
 
 
 def _sample_gp_function(
@@ -294,13 +302,36 @@ def run(
 
     Halts early, with the status, player and round recorded, if a player
     declares infeasibility (``infeasibility_declared``) or a player's GP
-    factor breaks down on its feedback (``factorization_error``); no
-    records exist for or after that round.
+    factor breaks down on its feedback (``factorization_error``); the
+    trajectory holds only the rounds before that one.
     """
-    if len(players) != game.num_players:
+    N, M = game.num_players, game.num_constraints
+    if len(players) != N:
         raise ValueError("player count does not match the game")
+    contexts = np.array([int(z) for z in context_schedule], dtype=np.int64)
+    outside = np.flatnonzero((contexts < 0) | (contexts >= game.num_contexts))
+    if len(outside):
+        t = int(outside[0])
+        raise ValueError(
+            f"context {contexts[t]} at round {t + 1} is outside "
+            f"[0, {game.num_contexts})"
+        )
+    T = len(contexts)
+    actions = np.zeros((T, N), dtype=np.int64)
+    noisy_rewards = np.zeros((T, N))
+    noisy_constraints = np.zeros((T, N, M))
+    reward_sigma = np.asarray(game.reward_noise, dtype=float)
+    constraint_sigma = np.array(
+        [row[:M] for row in game.constraint_noise], dtype=float
+    ).reshape(N, M)
+    grids = [game.constraint_grid(i) for i in range(N)]
     rng = np.random.default_rng(noise_seed)
-    records: list[RoundRecord] = []
+
+    def played(rounds: int, **status) -> Trajectory:
+        return Trajectory(
+            contexts[:rounds], actions[:rounds], noisy_rewards[:rounds],
+            noisy_constraints[:rounds], **status,
+        )
 
     def view(player: Player, z: int):
         # epsilon-net learners see the numeric embedding, not the id
@@ -310,58 +341,38 @@ def run(
             return game.context_embedding(z)
         return z
 
-    for t, z in enumerate(context_schedule, start=1):
-        zi = int(z)
+    for t in range(T):
+        z = int(contexts[t])
         try:
-            actions = tuple(
-                p.select_action(view(p, zi))[0] for p in players
-            )
+            joint = tuple(p.select_action(view(p, z))[0] for p in players)
         except InfeasibilityDeclared as declared:
-            return Trajectory(
-                records,
+            return played(
+                t,
                 status="infeasibility_declared",
                 infeasible_player=declared.player_index,
-                infeasible_round=t,
+                infeasible_round=t + 1,
             )
-        true_rewards = np.array(
-            [game.reward(i, actions, zi) for i in range(game.num_players)]
-        )
-        true_constraints = [
-            game.constraint_values(i, actions[i], zi)
-            for i in range(game.num_players)
-        ]
-        noisy_rewards = true_rewards + np.array(
-            [game.reward_noise[i] * rng.standard_normal() for i in range(game.num_players)]
-        )
-        noisy_constraints = [
-            true_constraints[i]
-            + np.asarray(game.constraint_noise[i][: len(true_constraints[i])])
-            * rng.standard_normal(len(true_constraints[i]))
-            for i in range(game.num_players)
-        ]
+        true_rewards = np.array([game.rewards[i][joint + (z,)] for i in range(N)])
+        true_constraints = np.array(
+            [grids[i][:, joint[i], z] for i in range(N)]
+        ).reshape(N, M)
+        # all reward draws first, then each player's constraint draws
+        rewards = true_rewards + reward_sigma * rng.standard_normal(N)
+        constraints = true_constraints + constraint_sigma * rng.standard_normal((N, M))
         for i, player in enumerate(players):
-            opponents = actions[:i] + actions[i + 1:]
             try:
                 player.observe_feedback(
-                    view(player, zi), actions[i], opponents,
-                    noisy_rewards[i], noisy_constraints[i],
+                    view(player, z), joint[i], joint[:i] + joint[i + 1:],
+                    rewards[i], constraints[i],
                 )
             except FactorizationError:
-                return Trajectory(
-                    records,
+                return played(
+                    t,
                     status="factorization_error",
                     failed_player=i,
-                    failed_round=t,
+                    failed_round=t + 1,
                 )
-        records.append(
-            RoundRecord(
-                t=t,
-                context=zi,
-                actions=actions,
-                noisy_rewards=noisy_rewards,
-                noisy_constraints=noisy_constraints,
-                true_rewards=true_rewards,
-                true_constraints=true_constraints,
-            )
-        )
-    return Trajectory(records)
+        actions[t] = joint
+        noisy_rewards[t] = rewards
+        noisy_constraints[t] = constraints
+    return played(T)

@@ -250,18 +250,6 @@ class GpModel:
         var = prior_var - np.einsum("ij,ij->j", v, v)
         return means, np.sqrt(np.maximum(var, 0.0))
 
-    def ucb(self, x, beta_value: float) -> float:
-        if beta_value < 0:
-            raise ValueError("beta must be nonnegative")
-        mean, std = self.posterior(x)
-        return mean + beta_value * std
-
-    def lcb(self, x, beta_value: float) -> float:
-        if beta_value < 0:
-            raise ValueError("beta must be nonnegative")
-        mean, std = self.posterior(x)
-        return mean - beta_value * std
-
     def ucb_batch(self, X, beta_value: float) -> np.ndarray:
         means, stds = self.posterior_batch(X)
         return means + beta_value * stds

@@ -1,9 +1,12 @@
 """Oracle-side evaluation of played trajectories.
 
 Everything here is post-hoc and uses the true game tables; learners never
-see these quantities.  The best-feasible-policy benchmark decomposes per
-context, so it is computed by brute force over actions at each realized
-context.
+see these quantities.  Both benchmarks are sums over one object per
+player i, the counterfactual reward matrix C[t, a] = r_i(a, a_-i(t), z_t),
+gathered from the reward table in one indexing step.  The best feasible
+policy decomposes per context: it is the feasible argmax of the
+per-context column sums of C, and regret and the equilibrium gap follow
+from the same sums.
 """
 
 from __future__ import annotations
@@ -21,83 +24,88 @@ class NoFeasibleActionError(ValueError):
     """A realized context admits no action satisfying the true constraints."""
 
 
-def _rounds_by_context(trajectory: Trajectory) -> dict[int, list[int]]:
-    by_ctx: dict[int, list[int]] = {}
-    for idx, rec in enumerate(trajectory.records):
-        by_ctx.setdefault(int(rec.context), []).append(idx)
-    return by_ctx
+def _counterfactual(
+    trajectory: Trajectory, game: GameDefinition, player: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The player's counterfactual reward matrix C, (T, K), where C[t, a]
+    is its true reward in round t had it played a; the per-context column
+    sums of C with -inf at infeasible actions, (Z, K); and the mask of
+    contexts that occur in the trajectory, (Z,)."""
+    Z, K = game.num_contexts, game.num_actions
+    index = [a[:, None] for a in trajectory.actions.T]
+    index[player] = np.arange(K)
+    C = game.rewards[player][(*index, trajectory.contexts[:, None])]
+    cells = (trajectory.contexts[:, None] * K + np.arange(K)).ravel()
+    totals = np.bincount(cells, C.ravel(), minlength=Z * K).reshape(Z, K)
+    feasible = game.feasible_actions(player)
+    realized = np.bincount(trajectory.contexts, minlength=Z) > 0
+    stranded = np.flatnonzero(realized & ~feasible.any(axis=1))
+    if len(stranded):
+        raise NoFeasibleActionError(
+            f"player {player} has no feasible action at context {stranded[0]}"
+        )
+    return C, np.where(feasible, totals, -np.inf), realized
 
 
-def _counterfactual_reward(
-    game: GameDefinition, player: int, action: int, joint, z: int
-) -> float:
-    replaced = list(joint)
-    replaced[player] = action
-    return game.reward(player, tuple(replaced), z)
+def _regret(
+    trajectory: Trajectory, player: int, C: np.ndarray, policy: np.ndarray
+) -> np.ndarray:
+    rounds = np.arange(len(C))
+    best = C[rounds, policy[trajectory.contexts]]
+    return np.cumsum(best - C[rounds, trajectory.actions[:, player]])
+
+
+def _as_dict(policy: np.ndarray, realized: np.ndarray) -> dict[int, int]:
+    return {int(z): int(policy[z]) for z in np.flatnonzero(realized)}
 
 
 def best_feasible_policy(
     trajectory: Trajectory, game: GameDefinition, player: int
 ) -> dict[int, int]:
-    """Best fixed feasible context-to-action map against the realized play."""
-    policy: dict[int, int] = {}
-    for z, idxs in _rounds_by_context(trajectory).items():
-        feasible = np.flatnonzero(game.feasible_actions(player, z))
-        if len(feasible) == 0:
-            raise NoFeasibleActionError(
-                f"player {player} has no feasible action at context {z}"
-            )
-        totals = [
-            sum(
-                _counterfactual_reward(
-                    game, player, a, trajectory.records[i].actions, z
-                )
-                for i in idxs
-            )
-            for a in feasible
-        ]
-        policy[z] = int(feasible[int(np.argmax(totals))])
-    return policy
+    """Best fixed feasible context-to-action map against the realized play,
+    over the contexts that occur."""
+    _, totals, realized = _counterfactual(trajectory, game, player)
+    return _as_dict(totals.argmax(axis=1), realized)
 
 
 def constrained_regret(
     trajectory: Trajectory, game: GameDefinition, player: int
 ) -> np.ndarray:
     """Cumulative regret against the T-round best feasible policy."""
-    policy = best_feasible_policy(trajectory, game, player)
-    increments = [
-        _counterfactual_reward(
-            game, player, policy[int(rec.context)], rec.actions, int(rec.context)
-        )
-        - rec.true_rewards[player]
-        for rec in trajectory.records
-    ]
-    return np.cumsum(increments) if increments else np.zeros(0)
+    C, totals, _ = _counterfactual(trajectory, game, player)
+    return _regret(trajectory, player, C, totals.argmax(axis=1))
+
+
+def _true_constraints(
+    trajectory: Trajectory, game: GameDefinition, player: int
+) -> np.ndarray:
+    """The player's true constraint values in every round, (M, T)."""
+    grid = game.constraint_grid(player)
+    return grid[:, trajectory.actions[:, player], trajectory.contexts]
 
 
 def cumulative_violations(
     trajectory: Trajectory, game: GameDefinition, player: int
 ) -> np.ndarray:
     """Per-constraint cumulative positive parts, shape (M, T)."""
-    M = game.num_constraints
-    T = trajectory.num_rounds
-    out = np.zeros((M, T))
-    for t, rec in enumerate(trajectory.records):
-        out[:, t] = np.maximum(rec.true_constraints[player], 0.0)
-    return np.cumsum(out, axis=1)
+    positive = np.maximum(_true_constraints(trajectory, game, player), 0.0)
+    return np.cumsum(positive, axis=1)
 
 
 def empirical_policy(trajectory: Trajectory) -> dict[int, dict[tuple, float]]:
-    """Per-context empirical distribution over played joint actions."""
+    """Per-context empirical distribution over played joint actions, keyed
+    in order of first play."""
     if trajectory.num_rounds < 1:
         raise ValueError("empty trajectory")
+    rows = np.column_stack([trajectory.contexts, trajectory.actions])
+    played, first, counts = np.unique(
+        rows, axis=0, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rounds = np.bincount(trajectory.contexts).tolist()
     policy: dict[int, dict[tuple, float]] = {}
-    for z, idxs in _rounds_by_context(trajectory).items():
-        counts: dict[tuple, int] = {}
-        for i in idxs:
-            a = trajectory.records[i].actions
-            counts[a] = counts.get(a, 0) + 1
-        policy[z] = {a: c / len(idxs) for a, c in counts.items()}
+    for (z, *joint), count in zip(played[order].tolist(), counts[order].tolist()):
+        policy.setdefault(z, {})[tuple(joint)] = count / rounds[z]
     return policy
 
 
@@ -109,43 +117,24 @@ def cce_epsilon(
     Returns the largest of the per-player unilateral reward gaps over
     feasible deviation policies and the per-player per-constraint expected
     violations, clamped below at zero, together with the per-player terms.
+    Expectations are over the empirical joint distribution at each
+    context, i.e. averages over the recorded rounds.
     """
     T = trajectory.num_rounds
     if T < 1:
         raise ValueError("empty trajectory")
-    by_ctx = _rounds_by_context(trajectory)
     gaps = {}
     violations = {}
     for i in range(game.num_players):
-        gap_total = 0.0
-        viol_total = np.zeros(game.num_constraints)
-        for z, idxs in by_ctx.items():
-            feasible = np.flatnonzero(game.feasible_actions(i, z))
-            if len(feasible) == 0:
-                raise NoFeasibleActionError(
-                    f"player {i} has no feasible action at context {z}"
-                )
-            # expectations are over the empirical joint distribution at z,
-            # i.e. averages over the recorded rounds
-            deviation = max(
-                sum(
-                    _counterfactual_reward(
-                        game, i, a, trajectory.records[t].actions, z
-                    )
-                    for t in idxs
-                )
-                for a in feasible
-            )
-            realized = sum(
-                trajectory.records[t].true_rewards[i] for t in idxs
-            )
-            gap_total += deviation - realized
-            for t in idxs:
-                viol_total += np.maximum(
-                    trajectory.records[t].true_constraints[i], 0.0
-                )
-        gaps[i] = gap_total / T
-        violations[i] = viol_total / T
+        C, totals, realized = _counterfactual(trajectory, game, i)
+        played = C[np.arange(T), trajectory.actions[:, i]]
+        earned = np.bincount(
+            trajectory.contexts, played, minlength=game.num_contexts
+        )
+        deviation = totals.max(axis=1)
+        gaps[i] = float((deviation[realized] - earned[realized]).sum()) / T
+        positive = np.maximum(_true_constraints(trajectory, game, i), 0.0)
+        violations[i] = positive.sum(axis=1) / T
     terms = [g for g in gaps.values()]
     terms += [v for vs in violations.values() for v in vs]
     eps = max(0.0, max(terms)) if terms else 0.0
@@ -229,9 +218,11 @@ def compute_report(trajectory: Trajectory, game: GameDefinition) -> MetricsRepor
     violations = {}
     best = {}
     for i in range(game.num_players):
-        regret[i] = constrained_regret(trajectory, game, i)
+        C, totals, realized = _counterfactual(trajectory, game, i)
+        policy = totals.argmax(axis=1)
+        regret[i] = _regret(trajectory, i, C, policy)
         violations[i] = cumulative_violations(trajectory, game, i)
-        best[i] = best_feasible_policy(trajectory, game, i)
+        best[i] = _as_dict(policy, realized)
     eps, terms = cce_epsilon(trajectory, game)
     return MetricsReport(
         regret=regret,

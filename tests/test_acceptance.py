@@ -329,32 +329,26 @@ def test_criterion_7_policy_oracle():
         game = gm.generate_random_game(
             500 + trial, num_players=2, num_actions=K, num_contexts=Z
         )
-        records = []
-        for t in range(1, T + 1):
-            z = int(rng.integers(Z))
-            actions = (int(rng.integers(K)), int(rng.integers(K)))
-            true_rewards = np.array(
-                [game.reward(i, actions, z) for i in range(2)]
-            )
-            true_constraints = [
-                game.constraint_values(i, actions[i], z) for i in range(2)
-            ]
-            records.append(
-                gm.RoundRecord(
-                    t=t, context=z, actions=actions,
-                    noisy_rewards=true_rewards,
-                    noisy_constraints=true_constraints,
-                    true_rewards=true_rewards,
-                    true_constraints=true_constraints,
-                )
-            )
-        traj = gm.Trajectory(records)
+        contexts = np.zeros(T, dtype=int)
+        actions = np.zeros((T, 2), dtype=int)
+        for t in range(T):
+            contexts[t] = rng.integers(Z)
+            actions[t] = rng.integers(K), rng.integers(K)
+        rewards = np.array([
+            [game.reward(i, tuple(a), z) for i in range(2)]
+            for z, a in zip(contexts, actions)
+        ])
+        constraints = np.array([
+            [game.constraint_values(i, a[i], z) for i in range(2)]
+            for z, a in zip(contexts, actions)
+        ])
+        traj = gm.Trajectory(contexts, actions, rewards, constraints)
         policy = mt.best_feasible_policy(traj, game, 0)
 
         def value(pol):
             return sum(
-                game.reward(0, (pol[int(r.context)], r.actions[1]), int(r.context))
-                for r in traj.records
+                game.reward(0, (pol[int(z)], a[1]), int(z))
+                for z, a in zip(contexts, actions)
             )
 
         feasible_sets = [

@@ -63,6 +63,31 @@ class TestRunCommand:
                      "summary.json", "metadata.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("z", [-1, 2])
+    def test_out_of_range_context_exit_codes(self, tmp_path, capsys, z):
+        # a generated game knows Z at parse time (exit 1); a game file is
+        # checked when the seed runs (exit 2, the context named)
+        schedule = {"mode": "fixed_sequence", "contexts": [0, 1, z] * 5}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_doc(context_schedule=schedule)))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert f"context {z} is outside [0, 2)" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+        game_path = tmp_path / "game.json"
+        config = parse_config(json.dumps(config_doc()))
+        from congames.cli import _load_game
+
+        game_path.write_text(_load_game(config, 0).to_json())
+        path.write_text(json.dumps(config_doc(
+            seeds=[0], game={"path": str(game_path)}, context_schedule=schedule,
+        )))
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["statuses"] == {"0": "error"}
+        assert f"context {z} at round 3" in summary["errors"]["0"]
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -175,6 +200,12 @@ class TestReport:
 
     def test_empty_dir_errors(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
+
+    def test_header_only_csvs_error(self, tmp_path, capsys):
+        (tmp_path / "rounds_seed0.csv").write_text("t,z,a0,a1,regret_p0\n")
+        assert main(["report", str(tmp_path)]) == 1
+        assert "data row" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestRunSeedInternals:

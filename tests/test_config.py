@@ -113,6 +113,14 @@ class TestErrors:
         with pytest.raises(ConfigError, match=r"\.context_schedule\.contexts"):
             parse_config(base_config(context_schedule={"mode": "fixed_sequence"}))
 
+    @pytest.mark.parametrize("z", [-1, 2])
+    def test_fixed_sequence_context_out_of_range(self, z):
+        with pytest.raises(
+            ConfigError, match=rf"\.context_schedule\.contexts: context {z} "
+        ):
+            parse_config(base_config(context_schedule={
+                "mode": "fixed_sequence", "contexts": [0, 1, z]}))
+
     def test_unknown_player_key(self):
         with pytest.raises(ConfigError):
             parse_config(base_config(players=[{"lr": 0.1}, {}]))

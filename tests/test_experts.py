@@ -10,7 +10,6 @@ from congames.experts import (
     SleepingExpertState,
     ada_predict,
     ada_update,
-    ada_weight,
     hedge_predict,
     hedge_update,
     sleeping_reward_completion,
@@ -18,30 +17,37 @@ from congames.experts import (
 
 
 class TestAdaWeight:
+    """The potential weight w(R, C), seen through ada_predict's ratios."""
+
     def test_hand_values(self):
-        assert ada_weight(-2.0, 1.0) == 0.0
-        assert ada_weight(0.0, 0.0) == pytest.approx(
-            0.5 * (math.exp(1.0 / 3.0) - 1.0), rel=1e-12
+        # w(0, 0) = 0.5*(e^(1/3) - 1), w(2, 0) = 0.5*(e^3 - e^(1/3))
+        w0 = 0.5 * (math.exp(1.0 / 3.0) - 1.0)
+        w2 = 0.5 * (math.exp(3.0) - math.exp(1.0 / 3.0))
+        assert w0 == pytest.approx(0.19780, abs=1e-5)
+        assert w2 == pytest.approx(9.34496, abs=5e-6)
+        p = ada_predict(SleepingExpertState(np.array([0.0, 2.0]), np.zeros(2)))
+        assert p[1] / p[0] == pytest.approx(w2 / w0, rel=1e-12)
+        assert p[1] / p[0] == pytest.approx(9.34496 / 0.19780, rel=1e-4)
+        # w(-2, 1) = 0: regret below -1 earns no mass
+        p = ada_predict(
+            SleepingExpertState(np.array([-2.0, 0.0]), np.array([1.0, 0.0]))
         )
-        assert ada_weight(0.0, 0.0) == pytest.approx(0.19780, abs=1e-5)
-        assert ada_weight(2.0, 0.0) == pytest.approx(
-            0.5 * (math.exp(3.0) - math.exp(1.0 / 3.0)), rel=1e-12
-        )
-        assert ada_weight(2.0, 0.0) == pytest.approx(9.34496, abs=5e-6)
+        assert p[0] == 0.0
 
     def test_nonnegative_and_monotone_in_regret(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             C = float(rng.uniform(0, 10))
-            r1, r2 = sorted(rng.uniform(-5, 5, size=2))
-            w1, w2 = ada_weight(r1, C), ada_weight(r2, C)
-            assert w1 >= 0.0
-            assert w1 <= w2 + 1e-12
+            state = SleepingExpertState(
+                regrets=np.sort(rng.uniform(-5, 5, size=2)),
+                magnitudes=np.full(2, C),
+            )
+            p = ada_predict(state)
+            assert p[0] >= 0.0
+            assert p[0] <= p[1] + 1e-12
 
     def test_overflow_guard_finite(self):
-        # exponent far beyond float range must still yield a finite ratio
-        w_big = ada_weight(1e4, 0.0)
-        assert math.isfinite(w_big) or w_big == math.inf
+        # exponents far beyond float range must still yield a finite ratio
         state = SleepingExpertState(
             regrets=np.array([1e4, 1e4 - 1.0]),
             magnitudes=np.array([1e4, 1e4]),
@@ -50,6 +56,8 @@ class TestAdaWeight:
         assert np.all(np.isfinite(p))
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert p[0] > p[1]
+        p = ada_predict(SleepingExpertState(np.array([1e4, 0.0]), np.zeros(2)))
+        np.testing.assert_array_equal(p, [1.0, 0.0])
 
 
 class TestAdaPredict:

@@ -18,6 +18,7 @@ from congames.kernels import Product, SquaredExponential
 from congames.strategy import (
     CZ_ADA_NORMAL_GP,
     FiniteContexts,
+    InfeasibilityDeclared,
     Player,
     PlayerConfig,
     RANDOM,
@@ -161,18 +162,22 @@ class TestRun:
         traj = run(game, random_players(game), [0, 1, 0, 1], noise_seed=0)
         assert traj.status == "completed"
         assert traj.num_rounds == 4
-        rec = traj.records[0]
-        assert rec.t == 1
-        assert len(rec.actions) == 2
-        assert len(rec.true_rewards) == 2
+        np.testing.assert_array_equal(traj.contexts, [0, 1, 0, 1])
+        assert traj.actions.shape == (4, 2)
+        assert traj.noisy_rewards.shape == (4, 2)
+        assert traj.noisy_constraints.shape == (4, 2, 1)
 
     def test_noiseless_rewards_match_tables(self):
         game = tiny_game()
         traj = run(game, random_players(game), [1, 0], noise_seed=0)
-        for rec in traj.records:
+        for z, joint, rewards, constraints in zip(
+            traj.contexts, traj.actions, traj.noisy_rewards,
+            traj.noisy_constraints,
+        ):
             for i in range(2):
-                assert rec.noisy_rewards[i] == pytest.approx(
-                    game.reward(i, rec.actions, int(rec.context))
+                assert rewards[i] == pytest.approx(game.reward(i, joint, z))
+                np.testing.assert_allclose(
+                    constraints[i], game.constraint_values(i, joint[i], z)
                 )
 
     def test_noise_seed_determinism(self):
@@ -180,14 +185,44 @@ class TestRun:
         sched = uniform_finite_schedule(2, 20, seed=2)
         t1 = run(game, random_players(game), sched, noise_seed=7)
         t2 = run(game, random_players(game), sched, noise_seed=7)
-        for r1, r2 in zip(t1.records, t2.records):
-            assert r1.actions == r2.actions
-            np.testing.assert_array_equal(r1.noisy_rewards, r2.noisy_rewards)
+        np.testing.assert_array_equal(t1.actions, t2.actions)
+        np.testing.assert_array_equal(t1.noisy_rewards, t2.noisy_rewards)
+        np.testing.assert_array_equal(t1.noisy_constraints, t2.noisy_constraints)
 
     def test_player_count_mismatch(self):
         game = tiny_game()
         with pytest.raises(ValueError):
             run(game, random_players(game)[:1], [0])
+
+    @pytest.mark.parametrize("z", [-1, 2])
+    def test_context_out_of_range(self, z):
+        # -1 would index the last context and 2 the table's edge
+        game = tiny_game()
+        with pytest.raises(ValueError, match=rf"context {z} at round 3"):
+            run(game, random_players(game), [0, 1, z, 0])
+
+    def test_halt_keeps_earlier_rounds(self):
+        game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
+        sched = uniform_finite_schedule(2, 20, seed=2)
+        full = run(game, random_players(game), sched, noise_seed=7)
+        players = random_players(game)
+        select = players[1].select_action
+        calls = []
+
+        def declares_in_round_6(z):
+            calls.append(z)
+            if len(calls) == 6:
+                raise InfeasibilityDeclared(1, "forced")
+            return select(z)
+
+        players[1].select_action = declares_in_round_6
+        halted = run(game, players, sched, noise_seed=7)
+        assert halted.status == "infeasibility_declared"
+        assert (halted.infeasible_player, halted.infeasible_round) == (1, 6)
+        assert halted.num_rounds == 5
+        np.testing.assert_array_equal(halted.contexts, full.contexts[:5])
+        np.testing.assert_array_equal(halted.actions, full.actions[:5])
+        np.testing.assert_array_equal(halted.noisy_rewards, full.noisy_rewards[:5])
 
     def test_infeasibility_declared_recorded(self):
         # every action violates by margin 1: the learner must declare once

@@ -269,12 +269,12 @@ class TestConfidenceBounds:
         model = GpModel(SquaredExponential(lengthscale=1.0), 1.0)
         for _ in range(5):
             model.add_observation(rng.normal(size=1), rng.normal())
-        x = np.array([0.2])
-        mean, std = model.posterior(x)
         b = 2.0
-        assert model.ucb(x, b) == pytest.approx(mean + b * std)
-        assert model.lcb(x, b) == pytest.approx(mean - b * std)
-        X = rng.normal(size=(4, 1))
+        X = np.vstack([[0.2], rng.normal(size=(4, 1))])
         means, stds = model.posterior_batch(X)
         np.testing.assert_allclose(model.ucb_batch(X, b), means + b * stds)
         np.testing.assert_allclose(model.lcb_batch(X, b), means - b * stds)
+        # a batch row agrees with the single-point posterior
+        mean, std = model.posterior(X[0])
+        assert model.ucb_batch(X, b)[0] == pytest.approx(mean + b * std)
+        assert model.lcb_batch(X, b)[0] == pytest.approx(mean - b * std)

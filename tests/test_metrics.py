@@ -8,7 +8,6 @@ import pytest
 
 from congames.game import (
     GameDefinition,
-    RoundRecord,
     Trajectory,
     generate_random_game,
     run,
@@ -30,27 +29,16 @@ from congames.strategy import Player, PlayerConfig, RANDOM
 
 def make_trajectory(game, plays):
     """Build a noiseless trajectory from (context, joint-action) pairs."""
-    records = []
-    for t, (z, actions) in enumerate(plays, start=1):
-        true_rewards = np.array(
-            [game.reward(i, actions, z) for i in range(game.num_players)]
-        )
-        true_constraints = [
-            game.constraint_values(i, actions[i], z)
-            for i in range(game.num_players)
-        ]
-        records.append(
-            RoundRecord(
-                t=t,
-                context=z,
-                actions=tuple(actions),
-                noisy_rewards=true_rewards,
-                noisy_constraints=true_constraints,
-                true_rewards=true_rewards,
-                true_constraints=true_constraints,
-            )
-        )
-    return Trajectory(records)
+    N, M = game.num_players, game.num_constraints
+    contexts = np.array([z for z, _ in plays], dtype=int)
+    actions = np.array([a for _, a in plays], dtype=int).reshape(len(plays), N)
+    rewards = np.array(
+        [[game.reward(i, a, z) for i in range(N)] for z, a in plays]
+    ).reshape(len(plays), N)
+    constraints = np.array(
+        [[game.constraint_values(i, a[i], z) for i in range(N)] for z, a in plays]
+    ).reshape(len(plays), N, M)
+    return Trajectory(contexts, actions, rewards, constraints)
 
 
 def hand_game(r0, constraints0=None):
@@ -130,10 +118,8 @@ class TestConstrainedRegret:
 
             def policy_value(pol):
                 total = 0.0
-                for rec in traj.records:
-                    z = int(rec.context)
-                    joint = (pol[z], rec.actions[1])
-                    total += game.reward(0, joint, z)
+                for z, (_, a1) in plays:
+                    total += game.reward(0, (pol[z], a1), z)
                 return total
 
             feasible_sets = [
@@ -147,6 +133,118 @@ class TestConstrainedRegret:
                 {z: policy.get(z, int(feasible_sets[z][0])) for z in range(Z)}
             )
             assert got_val == pytest.approx(best_val, abs=1e-9)
+
+
+def oracle_game(kind, seed):
+    """A 3-player game whose context Z-1 never occurs in oracle plays.
+
+    ``kind`` picks the constraint tables: "2d" (M, K), "3d" (M, K, Z) or
+    "none" (no constraints).  In the 3-d game the unused context has no
+    feasible action, which the metrics must ignore.
+    """
+    M = {"2d": 1, "3d": 2, "none": 0}[kind]
+    game = generate_random_game(
+        seed, num_players=3, num_actions=3, num_contexts=3, num_constraints=M,
+        feasible_quantile=0.7,
+    )
+    if kind == "3d":
+        rng = np.random.default_rng(seed)
+        for i in range(3):
+            table = rng.normal(size=(M, 3, 3))
+            for z in range(2):
+                table[:, rng.integers(3), z] = -rng.random(M)
+            table[:, :, 2] = np.abs(table[:, :, 2]) + 0.1
+            game.constraints[i] = table
+    return game
+
+
+def brute_force(game, plays, player):
+    """Best policy, regret, violations and reward gap from per-round loops."""
+    K, M, T = game.num_actions, game.num_constraints, len(plays)
+
+    def swapped(joint, a):
+        return tuple(a if j == player else b for j, b in enumerate(joint))
+
+    rounds = {}
+    for t, (z, _) in enumerate(plays):
+        rounds.setdefault(z, []).append(t)
+    policy, gap = {}, 0.0
+    for z, ts in rounds.items():
+        totals = {
+            a: sum(game.reward(player, swapped(plays[t][1], a), z) for t in ts)
+            for a in range(K)
+            if np.all(game.constraint_values(player, a, z) <= 0.0)
+        }
+        policy[z] = max(totals, key=totals.get)
+        earned = sum(game.reward(player, plays[t][1], z) for t in ts)
+        gap += totals[policy[z]] - earned
+    regret, acc = [], 0.0
+    for z, joint in plays:
+        acc += game.reward(player, swapped(joint, policy[z]), z)
+        acc -= game.reward(player, joint, z)
+        regret.append(acc)
+    violations, total = np.zeros((M, T)), np.zeros(M)
+    for t, (z, joint) in enumerate(plays):
+        total = total + np.maximum(
+            game.constraint_values(player, joint[player], z), 0.0
+        )
+        violations[:, t] = total
+    return policy, np.array(regret), violations, gap / max(T, 1)
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("T", [0, 1, 20])
+    @pytest.mark.parametrize("kind", ["2d", "3d", "none"])
+    def test_vectorized_metrics_match(self, kind, T):
+        for seed in range(3):
+            game = oracle_game(kind, 40 + seed)
+            rng = np.random.default_rng(seed)
+            plays = [
+                (int(rng.integers(2)), tuple(int(a) for a in rng.integers(3, size=3)))
+                for _ in range(T)
+            ]
+            traj = make_trajectory(game, plays)
+            report = compute_report(traj, game) if T else None
+            terms = []
+            for i in range(3):
+                policy, regret, violations, gap = brute_force(game, plays, i)
+                assert best_feasible_policy(traj, game, i) == policy
+                np.testing.assert_allclose(
+                    constrained_regret(traj, game, i), regret,
+                    rtol=1e-12, atol=1e-12,
+                )
+                got = cumulative_violations(traj, game, i)
+                assert got.shape == (game.num_constraints, T)
+                np.testing.assert_allclose(got, violations, rtol=1e-12, atol=1e-12)
+                terms += [gap] + list(violations[:, -1] / T if T else [])
+                if report is not None:
+                    assert report.best_policy[i] == policy
+                    np.testing.assert_allclose(
+                        report.regret[i], regret, rtol=1e-12, atol=1e-12
+                    )
+                    np.testing.assert_allclose(
+                        report.violations[i], violations, rtol=1e-12, atol=1e-12
+                    )
+                    assert report.cce_terms["reward_gaps"][i] == pytest.approx(
+                        gap, rel=1e-12, abs=1e-12
+                    )
+            if T == 0:
+                with pytest.raises(ValueError):
+                    cce_epsilon(traj, game)
+                continue
+            eps, _ = cce_epsilon(traj, game)
+            assert eps == pytest.approx(max(0.0, *terms), rel=1e-12, abs=1e-12)
+            assert report.cce_eps == eps
+
+    def test_unrealized_context_never_raises(self):
+        # the 3-d oracle game's context 2 has no feasible action at all
+        game = oracle_game("3d", 40)
+        assert not game.feasible_actions(0, 2).any()
+        traj = make_trajectory(game, [(2, (0, 0, 0))])
+        with pytest.raises(NoFeasibleActionError):
+            constrained_regret(traj, game, 0)
+        traj = make_trajectory(game, [(0, (0, 0, 0)), (1, (1, 1, 1))])
+        assert set(best_feasible_policy(traj, game, 0)) == {0, 1}
 
 
 class TestViolations:
@@ -176,8 +274,8 @@ class TestViolations:
         traj = make_trajectory(game, plays)
         got = cumulative_violations(traj, game, 0)
         acc = 0.0
-        for t, rec in enumerate(traj.records):
-            g = game.constraint_values(0, rec.actions[0], int(rec.context))[0]
+        for t, (z, (a0, _)) in enumerate(plays):
+            g = game.constraint_values(0, a0, z)[0]
             acc += max(g, 0.0)
             assert got[0, t] == pytest.approx(acc, abs=1e-12)
 

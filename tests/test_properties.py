@@ -9,7 +9,6 @@ from congames.experts import (
     SleepingExpertState,
     ada_predict,
     ada_update,
-    ada_weight,
     sleeping_reward_completion,
 )
 from congames.kernels import Matern, SquaredExponential, evaluate
@@ -41,11 +40,6 @@ def test_matern_symmetric_bounded(nu, x, y):
     v = evaluate(spec, x, y)
     assert abs(v - evaluate(spec, y, x)) <= 1e-15
     assert 0.0 <= v <= 1.0 + 1e-12
-
-
-@given(st.floats(-10.0, 10.0), st.floats(0.0, 50.0))
-def test_ada_weight_nonnegative(R, C):
-    assert ada_weight(R, C) >= 0.0
 
 
 @given(
