@@ -31,13 +31,12 @@ from .experts import SleepingExpertState
 from .gp import ConfidenceParams
 from .strategy import (
     ADA_NORMAL_HEDGE,
-    C_ADA_NORMAL_GP,
-    CZ_ADA_NORMAL_GP,
+    RANDOM,
+    USES_CONSTRAINTS,
+    USES_CONTEXT,
     FiniteContexts,
     Player,
     PlayerConfig,
-    RANDOM,
-    Z_GPMW,
 )
 
 _SEED_STRIDE = 1_000_003
@@ -80,11 +79,9 @@ def build_player(
                 seed=seed,
             )
         )
-    uses_context = block.algorithm in (CZ_ADA_NORMAL_GP, Z_GPMW)
-    uses_constraints = block.algorithm in (CZ_ADA_NORMAL_GP, C_ADA_NORMAL_GP)
     reward_kernel = block.reward_kernel
     if reward_kernel is None:
-        if uses_context:
+        if USES_CONTEXT[block.algorithm]:
             reward_kernel = game_mod.default_reward_kernel(game.num_players)
         else:
             # non-contextual learners model rewards over joint actions only
@@ -95,7 +92,7 @@ def build_player(
         failure_prob=block.delta,
         num_constraints=game.num_constraints,
     )
-    num_constraints = game.num_constraints if uses_constraints else 0
+    num_constraints = game.num_constraints if USES_CONSTRAINTS[block.algorithm] else 0
     constraint_kernel = block.constraint_kernel or game_mod.default_constraint_kernel()
     return Player(
         PlayerConfig(
@@ -184,15 +181,12 @@ def run_seed(config: ExperimentConfig, seed: int) -> dict:
 
     # per round: t, z, the joint action, then each player's regret and
     # each player's violations
-    T = trajectory.num_rounds
-    labels = np.column_stack(
-        [np.arange(1, T + 1), trajectory.contexts, trajectory.actions]
-    )
-    values = np.column_stack(
-        [report.regret[i] for i in range(game.num_players)]
+    rows = np.column_stack(
+        [np.arange(1, trajectory.num_rounds + 1), trajectory.contexts,
+         trajectory.actions]
+        + [report.regret[i] for i in range(game.num_players)]
         + [report.violations[i].T for i in range(game.num_players)]
     )
-    rows = [a + b for a, b in zip(labels.tolist(), values.tolist())]
 
     return {
         "seed": seed,
@@ -209,10 +203,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> dict:
         "final_violations": [
             report.final_violations(i).tolist() for i in range(game.num_players)
         ],
-        "regret": [report.regret[i].tolist() for i in range(game.num_players)],
-        "violations": [
-            report.violations[i].tolist() for i in range(game.num_players)
-        ],
+        "regret": [report.regret[i] for i in range(game.num_players)],
+        "violations": [report.violations[i] for i in range(game.num_players)],
         "cce_eps": report.cce_eps,
         "bounds": bounds,
     }
@@ -227,18 +219,17 @@ def _csv_header(num_players: int, num_constraints: int) -> list[str]:
 
 
 def _write_seed_csv(out_dir: Path, result: dict) -> None:
+    # integers for t, z and the actions, 12 significant digits (as _fmt)
+    # for the rest, and csv.writer's line ending
+    header = _csv_header(result["num_players"], result["num_constraints"])
+    labels = 2 + result["num_players"]
     path = out_dir / f"rounds_seed{result['seed']}.csv"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            _csv_header(result["num_players"], result["num_constraints"])
+        fh.write(",".join(header) + "\r\n")
+        np.savetxt(
+            fh, result["rows"], delimiter=",", newline="\r\n",
+            fmt=["%d"] * labels + ["%.12g"] * (len(header) - labels),
         )
-        for row in result["rows"]:
-            writer.writerow(
-                [row[0], row[1]]
-                + [int(v) for v in row[2 : 2 + result["num_players"]]]
-                + [_fmt(v) for v in row[2 + result["num_players"]:]]
-            )
 
 
 def _aggregate(results: list[dict], T: int) -> dict:

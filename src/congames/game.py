@@ -1,11 +1,13 @@
 """Ground-truth games, the random-game generator, and the round engine.
 
 The engine is the only owner of true reward/constraint values; players
-receive nothing beyond the noisy bandit feedback tuple (own noisy reward,
-own noisy constraint values, opponents' actions), enforced by the call
-signature of ``Player.observe_feedback``.  A played game is a columnar
-``Trajectory`` of contexts, joint actions and noisy feedback; true values
-are not stored, since the game tables give them back with one gather.
+receive nothing beyond the context and the noisy bandit feedback tuple
+(own noisy reward, own noisy constraint values, opponents' actions),
+enforced by the call signatures of ``Player.select_action``, which opens a
+round, and ``Player.observe_feedback``, which closes it.  A played game
+is a columnar ``Trajectory`` of contexts, joint actions and noisy
+feedback; true values are not stored, since the game tables give them
+back with one gather.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .kernels import (
     kernel_from_config,
     kernel_to_config,
 )
-from .strategy import EpsilonNet, InfeasibilityDeclared, Player
+from .strategy import RANDOM, EpsilonNet, InfeasibilityDeclared, Player
 
 GENERATOR_SCHEME = "gp-posterior-mean-of-sampled-observations-v1"
 
@@ -333,18 +335,19 @@ def run(
             noisy_constraints[:rounds], **status,
         )
 
-    def view(player: Player, z: int):
-        # epsilon-net learners see the numeric embedding, not the id
-        if player.config.algorithm != "random" and isinstance(
-            player.config.context_mode, EpsilonNet
-        ):
-            return game.context_embedding(z)
-        return z
+    # epsilon-net learners see the numeric embedding, not the id
+    embedded = [
+        p.config.algorithm != RANDOM and isinstance(p.config.context_mode, EpsilonNet)
+        for p in players
+    ]
 
     for t in range(T):
         z = int(contexts[t])
         try:
-            joint = tuple(p.select_action(view(p, z))[0] for p in players)
+            joint = tuple(
+                p.select_action(game.context_embedding(z) if e else z)
+                for p, e in zip(players, embedded)
+            )
         except InfeasibilityDeclared as declared:
             return played(
                 t,
@@ -362,8 +365,7 @@ def run(
         for i, player in enumerate(players):
             try:
                 player.observe_feedback(
-                    view(player, z), joint[i], joint[:i] + joint[i + 1:],
-                    rewards[i], constraints[i],
+                    joint[i], joint[:i] + joint[i + 1:], rewards[i], constraints[i]
                 )
             except FactorizationError:
                 return played(

@@ -199,7 +199,7 @@ class MetricsReport:
     regret: dict[int, np.ndarray]
     violations: dict[int, np.ndarray]
     best_policy: dict[int, dict[int, int]]
-    cce_eps: float
+    cce_eps: float | None            # None for a trajectory with no rounds
     cce_terms: dict
     status: str
     extra: dict = field(default_factory=dict)
@@ -214,6 +214,8 @@ class MetricsReport:
 
 
 def compute_report(trajectory: Trajectory, game: GameDefinition) -> MetricsReport:
+    """Every player's oracle metrics.  A run halted in its first round has
+    empty series, no best policy and no equilibrium accuracy."""
     regret = {}
     violations = {}
     best = {}
@@ -223,7 +225,7 @@ def compute_report(trajectory: Trajectory, game: GameDefinition) -> MetricsRepor
         regret[i] = _regret(trajectory, i, C, policy)
         violations[i] = cumulative_violations(trajectory, game, i)
         best[i] = _as_dict(policy, realized)
-    eps, terms = cce_epsilon(trajectory, game)
+    eps, terms = cce_epsilon(trajectory, game) if trajectory.num_rounds else (None, {})
     return MetricsReport(
         regret=regret,
         violations=violations,

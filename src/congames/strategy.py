@@ -2,9 +2,13 @@
 
 A :class:`Player` owns one reward GP over (joint action, context), M
 constraint GPs over its own action, a context router holding one expert
-state per context bucket, and a seeded RNG.  Each round it filters actions
-through constraint LCBs, samples from the renormalized expert
-distribution, and updates everything from its own noisy feedback.
+state per context bucket, and a seeded RNG.  A round is two calls:
+:meth:`Player.select_action` opens it (route the context, predict the
+bucket's expert distribution, filter actions through constraint LCBs,
+sample from the renormalized distribution) and keeps what it computed in
+``Player.round``; :meth:`Player.observe_feedback` closes it, updating the
+expert state from that same mask and sampling distribution and then the
+GPs from the player's own noisy feedback.
 
 Baselines reuse the same machinery: the multiplicative-weights learners
 skip constraint filtering, non-contextual variants collapse the router to
@@ -34,8 +38,8 @@ RANDOM = "random"
 ALGORITHMS = (CZ_ADA_NORMAL_GP, C_ADA_NORMAL_GP, Z_GPMW, GPMW, RANDOM)
 
 # which code paths each algorithm variant enables
-_USES_CONTEXT = {CZ_ADA_NORMAL_GP: True, C_ADA_NORMAL_GP: False, Z_GPMW: True, GPMW: False}
-_USES_CONSTRAINTS = {CZ_ADA_NORMAL_GP: True, C_ADA_NORMAL_GP: True, Z_GPMW: False, GPMW: False}
+USES_CONTEXT = {CZ_ADA_NORMAL_GP: True, C_ADA_NORMAL_GP: False, Z_GPMW: True, GPMW: False}
+USES_CONSTRAINTS = {CZ_ADA_NORMAL_GP: True, C_ADA_NORMAL_GP: True, Z_GPMW: False, GPMW: False}
 _DEFAULT_EXPERT_RULE = {
     CZ_ADA_NORMAL_GP: ADA_NORMAL_HEDGE,
     C_ADA_NORMAL_GP: ADA_NORMAL_HEDGE,
@@ -90,10 +94,6 @@ def renormalize(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return restricted / total
 
 
-def check_infeasibility(mask: np.ndarray) -> bool:
-    return not np.asarray(mask, dtype=bool).any()
-
-
 @dataclass
 class PlayerConfig:
     num_players: int
@@ -134,11 +134,11 @@ class PlayerConfig:
 
     @property
     def uses_context(self) -> bool:
-        return self.algorithm != RANDOM and _USES_CONTEXT[self.algorithm]
+        return self.algorithm != RANDOM and USES_CONTEXT[self.algorithm]
 
     @property
     def uses_constraints(self) -> bool:
-        return self.algorithm != RANDOM and _USES_CONSTRAINTS[self.algorithm]
+        return self.algorithm != RANDOM and USES_CONSTRAINTS[self.algorithm]
 
 
 class ContextRouter:
@@ -210,11 +210,10 @@ class Player:
     def __init__(self, config: PlayerConfig):
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        self.rounds = 0
         self.clamp_events = 0
         self.infeasible = False
-        self._mask_key: tuple | None = None
-        self._mask: np.ndarray | None = None
+        # the open round: (z, bucket, p, mask, pbar), or None between rounds
+        self.round: tuple | None = None
         if config.algorithm == RANDOM:
             self.reward_gp = None
             self.constraint_gps = []
@@ -253,17 +252,14 @@ class Player:
     def _reward_inputs(self, opponents, z) -> np.ndarray:
         """Candidate reward-GP inputs, one row per own action."""
         cfg = self.config
-        opp = [float(a) for a in opponents]
-        rows = []
-        for a in range(cfg.num_actions):
-            # own action goes in its slot of the joint-action block
-            joint = opp[: cfg.player_index] + [float(a)] + opp[cfg.player_index:]
-            if cfg.uses_context:
-                zv = np.atleast_1d(np.asarray(z, dtype=float))
-                rows.append(np.concatenate([joint, zv]))
-            else:
-                rows.append(np.asarray(joint))
-        return np.asarray(rows)
+        i = cfg.player_index
+        opp = np.asarray(opponents, dtype=float)
+        zv = np.atleast_1d(np.asarray(z, dtype=float)) if cfg.uses_context else []
+        # the own action goes in slot i of the joint action
+        row = np.concatenate([opp[:i], [0.0], opp[i:], zv])
+        rows = np.tile(row, (cfg.num_actions, 1))
+        rows[:, i] = np.arange(cfg.num_actions)
+        return rows
 
     def feasible_mask(self, z) -> np.ndarray:
         cfg = self.config
@@ -276,65 +272,58 @@ class Player:
             mask &= lcbs <= 0.0
         return mask
 
-    def _round_mask(self, z) -> np.ndarray:
-        """:meth:`feasible_mask`, reused until a constraint GP changes.
+    def select_action(self, z) -> int:
+        """Open a round: sample a feasible action for context z.
 
-        The filter queries own actions only, so the mask depends on the
-        constraint posteriors and their betas, not on the context; both
-        change only when a constraint GP receives an observation.
+        Keeps the context, the bucket, its expert distribution p, the
+        feasibility mask and the renormalized distribution pbar that the
+        action was sampled from in :attr:`round` for
+        :meth:`observe_feedback`.  Raises :class:`InfeasibilityDeclared`
+        when no action passes the filter, and in every later round.
         """
-        key = tuple(gp_m.num_observations for gp_m in self.constraint_gps)
-        if key != self._mask_key:
-            self._mask = self.feasible_mask(z)
-            self._mask_key = key
-        return self._mask
-
-    def select_action(self, z) -> tuple[int, dict]:
-        """Sample a feasible action for context z; raises on infeasibility."""
         cfg = self.config
         if self.infeasible:
             raise InfeasibilityDeclared(cfg.player_index, z)
         if cfg.algorithm == RANDOM:
-            action = int(self.rng.integers(cfg.num_actions))
-            return action, {"p": np.full(cfg.num_actions, 1.0 / cfg.num_actions)}
-        key = self.router.route(z)
-        p = self.router.predict(key)
-        mask = self._round_mask(z)
-        if check_infeasibility(mask):
+            return int(self.rng.integers(cfg.num_actions))
+        bucket = self.router.route(z)
+        p = self.router.predict(bucket)
+        mask = self.feasible_mask(z)
+        if not mask.any():
             self.infeasible = True
             raise InfeasibilityDeclared(cfg.player_index, z)
         pbar = renormalize(p, mask)
         action = int(np.searchsorted(np.cumsum(pbar), self.rng.random(), side="right"))
-        action = min(action, cfg.num_actions - 1)
-        diagnostics = {"p": p, "pbar": pbar, "mask": mask, "bucket": key}
-        return action, diagnostics
+        self.round = (z, bucket, p, mask, pbar)
+        return min(action, cfg.num_actions - 1)
 
-    def observe_feedback(self, z, own_action: int, opponents_actions,
+    def observe_feedback(self, own_action: int, opponents_actions,
                          noisy_reward: float, noisy_constraints) -> None:
+        """Close the round :meth:`select_action` opened with the player's
+        own noisy feedback; raises ``RuntimeError`` when none is open."""
         cfg = self.config
-        self.rounds += 1
         if cfg.algorithm == RANDOM:
             return
+        if self.round is None:
+            raise RuntimeError("observe_feedback without an open round")
         noisy_constraints = np.asarray(noisy_constraints, dtype=float)
         if cfg.uses_constraints and len(noisy_constraints) != cfg.num_constraints:
             raise ValueError("constraint feedback length mismatch")
+        z, bucket, p, mask, pbar = self.round
+        self.round = None
 
         # optimistic reward estimates over own actions (pre-update posterior)
-        key = self.router.route(z)
         candidates = self._reward_inputs(opponents_actions, z)
         ucbs = self.reward_gp.ucb_batch(candidates, self.reward_beta())
         self.clamp_events += int(np.sum(ucbs < 0.0))
         rhat = np.clip(ucbs, 0.0, 1.0)
 
-        mask = self._round_mask(z)
-        p = self.router.predict(key)
-        state = self.router.states[key]
+        state = self.router.states[bucket]
         if cfg.expert_rule == ADA_NORMAL_HEDGE:
-            pbar = renormalize(p, mask)
-            self.router.states[key] = experts.ada_update(state, mask, rhat, pbar)
+            self.router.states[bucket] = experts.ada_update(state, mask, rhat, pbar)
         else:
             completed = experts.sleeping_reward_completion(ucbs, mask, p)
-            self.router.states[key] = experts.hedge_update(state, completed)
+            self.router.states[bucket] = experts.hedge_update(state, completed)
 
         # append observations after the expert update so estimates above
         # used the pre-round posterior

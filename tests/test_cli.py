@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from congames.cli import main, run_seed
+from congames.cli import _write_seed_csv, main, run_seed
 from congames.config import parse_config
 from congames.game import GameDefinition
 from congames.gp import FactorizationError, GpModel
+from congames.strategy import InfeasibilityDeclared, Player
 
 
 def config_doc(**overrides):
@@ -133,6 +134,43 @@ class TestRunCommand:
             assert code == 2
             assert "0" in summary["errors"]
 
+    def test_round_one_halt_is_a_status(self, monkeypatch, tmp_path):
+        real = Player.select_action
+
+        def player_1_declares(self, z):
+            if self.config.player_index == 1:
+                raise InfeasibilityDeclared(1, z)
+            return real(self, z)
+
+        monkeypatch.setattr(Player, "select_action", player_1_declares)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_doc(T=5, seeds=[0])))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["statuses"] == {"0": "infeasibility_declared"}
+        assert summary["errors"] == {}
+        per_seed = summary["per_seed"]["0"]
+        assert per_seed["num_rounds"] == 0
+        assert (per_seed["infeasible_player"], per_seed["infeasible_round"]) == (1, 1)
+        assert per_seed["cce_eps"] is None
+        assert per_seed["final_regret"] == [0.0, 0.0]
+        lines = (out / "rounds_seed0.csv").read_text().splitlines()
+        assert lines == ["t,z,a0,a1,regret_p0,regret_p1,viol_p0_m0,viol_p1_m0"]
+
+    def test_csv_values_match_twelve_digit_format(self, tmp_path):
+        values = [-0.0, 1e-13, 123456789012345.0, 0.1 + 0.2, 1 / 3, -2.5e-300,
+                  1e20, 7.0]
+        rows = np.array([[1, 0, 2, 1] + values[:4], [2, 1, 0, 6] + values[4:]])
+        _write_seed_csv(tmp_path, {
+            "seed": 4, "num_players": 2, "num_constraints": 1, "rows": rows,
+        })
+        expected = "t,z,a0,a1,regret_p0,regret_p1,viol_p0_m0,viol_p1_m0\r\n"
+        for labels, floats in (("1,0,2,1", values[:4]), ("2,1,0,6", values[4:])):
+            expected += ",".join([labels] + [format(v, ".12g") for v in floats])
+            expected += "\r\n"
+        assert (tmp_path / "rounds_seed4.csv").read_bytes() == expected.encode()
+        assert "-0,1e-13,1.23456789012e+14," in expected
 
     def test_factorization_error_is_a_run_status(self, monkeypatch, tmp_path):
         real = GpModel.add_observation

@@ -415,3 +415,15 @@ class TestReport:
                 report.violations[i], cumulative_violations(traj, game, i)
             )
         assert report.cce_eps >= 0.0
+
+    def test_zero_rounds(self):
+        # a run halted in round 1: empty series, no policy, no equilibrium gap
+        game = oracle_game("2d", 40)
+        report = compute_report(make_trajectory(game, []), game)
+        for i in range(game.num_players):
+            assert report.regret[i].shape == (0,)
+            assert report.violations[i].shape == (game.num_constraints, 0)
+            assert report.best_policy[i] == {}
+            assert report.final_regret(i) == 0.0
+        assert report.cce_eps is None
+        assert report.cce_terms == {}

@@ -20,7 +20,6 @@ from congames.strategy import (
     InfeasibilityDeclared,
     Player,
     PlayerConfig,
-    check_infeasibility,
     default_epsilon,
     renormalize,
 )
@@ -86,10 +85,6 @@ class TestHelpers:
     def test_renormalize_empty_set(self):
         with pytest.raises(ValueError):
             renormalize(np.full(2, 0.5), np.zeros(2, dtype=bool))
-
-    def test_check_infeasibility(self):
-        assert check_infeasibility(np.zeros(3, dtype=bool))
-        assert not check_infeasibility(np.array([False, True, False]))
 
 
 class TestPlayerConfig:
@@ -173,9 +168,11 @@ class TestPlayer:
             PlayerConfig(num_players=2, player_index=0, num_actions=4,
                          algorithm=RANDOM, seed=3)
         )
-        actions = [player.select_action(0)[0] for _ in range(200)]
+        actions = [player.select_action(0) for _ in range(200)]
         assert set(actions) == {0, 1, 2, 3}
-        player.observe_feedback(0, 1, (2,), 0.5, [])
+        player.observe_feedback(1, (2,), 0.5, [])
+        player.observe_feedback(1, (2,), 0.5, [])  # random players open no round
+        assert player.round is None
         assert player.reward_gp is None
 
     def test_seeded_determinism(self):
@@ -185,8 +182,8 @@ class TestPlayer:
             seq = []
             for t in range(10):
                 z = t % 4
-                a, _ = player.select_action(z)
-                player.observe_feedback(z, a, (t % 3,), 0.3, [0.1])
+                a = player.select_action(z)
+                player.observe_feedback(a, (t % 3,), 0.3, [0.1])
                 seq.append(a)
             runs.append(seq)
         assert runs[0] == runs[1]
@@ -216,16 +213,22 @@ class TestPlayer:
         with pytest.raises(InfeasibilityDeclared):
             player.select_action(1)
 
-    def test_reward_inputs_layout(self):
-        player = Player(make_config())
-        rows = player._reward_inputs((5,), 2)
-        # player 0: own action first, then the opponent action, then context
-        np.testing.assert_allclose(rows[1], [1.0, 5.0, 2.0])
-        cfg_p1 = make_config()
-        cfg_p1.player_index = 1
-        player1 = Player(cfg_p1)
-        rows1 = player1._reward_inputs((5,), 2)
-        np.testing.assert_allclose(rows1[1], [5.0, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "algorithm", [CZ_ADA_NORMAL_GP, C_ADA_NORMAL_GP], ids=["context", "no_context"]
+    )
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_reward_inputs_layout(self, index, algorithm):
+        # 3 players: the own action takes slot `index` of the joint action,
+        # the opponents keep their order, and the context comes last
+        player = Player(make_config(algorithm, num_players=3, player_index=index))
+        rows = player._reward_inputs((5, 6), 2)
+        for a in range(3):
+            joint = [5.0, 6.0]
+            joint.insert(index, float(a))
+            if algorithm == CZ_ADA_NORMAL_GP:
+                joint.append(2.0)
+            np.testing.assert_array_equal(rows[a], joint)
+        assert rows.shape == (3, 4 if algorithm == CZ_ADA_NORMAL_GP else 3)
 
     def test_non_contextual_inputs_exclude_context(self):
         player = Player(make_config(C_ADA_NORMAL_GP))
@@ -234,8 +237,8 @@ class TestPlayer:
 
     def test_observe_feedback_feeds_models(self):
         player = Player(make_config())
-        a, _ = player.select_action(1)
-        player.observe_feedback(1, a, (2,), 0.7, [0.2])
+        a = player.select_action(1)
+        player.observe_feedback(a, (2,), 0.7, [0.2])
         assert player.reward_gp.num_observations == 1
         assert player.constraint_gps[0].num_observations == 1
         state = player.router.states[1]
@@ -243,8 +246,8 @@ class TestPlayer:
 
     def test_reduced_hedge_path_updates_hedge_state(self):
         player = Player(make_config(Z_GPMW))
-        a, _ = player.select_action(1)
-        player.observe_feedback(1, a, (2,), 0.7, [])
+        a = player.select_action(1)
+        player.observe_feedback(a, (2,), 0.7, [])
         state = player.router.states[1]
         assert state.rounds_seen == 1
 
@@ -260,7 +263,7 @@ class TestPlayer:
 
 
 class TestRoundMask:
-    """observe_feedback reuses the select_action mask until it goes stale."""
+    """observe_feedback closes the round select_action opened, with its mask."""
 
     @staticmethod
     def trained_player():
@@ -271,38 +274,48 @@ class TestRoundMask:
         return player
 
     @staticmethod
-    def spy_on_masks(monkeypatch):
+    def spy_on_updates(monkeypatch):
         seen = []
         real = experts.ada_update
 
         def spy(state, mask, rewards, sampling_dist):
-            seen.append(np.array(mask))
+            seen.append((np.array(mask), np.array(sampling_dist)))
             return real(state, mask, rewards, sampling_dist)
 
         monkeypatch.setattr(experts, "ada_update", spy)
         return seen
 
-    def test_without_select_action(self, monkeypatch):
+    def test_observe_without_open_round_raises(self, monkeypatch):
         player = self.trained_player()
-        seen = self.spy_on_masks(monkeypatch)
-        expected = player.feasible_mask(1)
-        assert not expected[0] and expected[2]
-        player.observe_feedback(1, 2, (0,), 0.5, [-0.5])
-        np.testing.assert_array_equal(seen, [expected])
+        seen = self.spy_on_updates(monkeypatch)
+        with pytest.raises(RuntimeError, match="open round"):
+            player.observe_feedback(2, (0,), 0.5, [-0.5])
+        a = player.select_action(1)
+        player.observe_feedback(a, (0,), 0.5, [-0.5])
+        with pytest.raises(RuntimeError):  # the round is closed
+            player.observe_feedback(a, (0,), 0.5, [-0.5])
+        assert len(seen) == 1
+        assert player.reward_gp.num_observations == 1
 
     def test_after_several_selects_and_a_stale_mask(self, monkeypatch):
         player = self.trained_player()
-        seen = self.spy_on_masks(monkeypatch)
+        seen = self.spy_on_updates(monkeypatch)
         for z in (0, 1, 3):
             player.select_action(z)
-        assert player.feasible_mask(1)[1]
-        # constraint data arriving after select_action makes its mask stale
+        z, bucket, p, mask, pbar = player.round
+        assert (z, bucket) == (3, 3)
+        assert mask[1] and not mask[0]
+        # constraint data arriving after select_action changes the filter,
+        # but the update uses what the action was sampled from
         for _ in range(30):
             player.constraint_gps[0].add_observation(np.array([1.0]), 1.0)
-        expected = player.feasible_mask(1)
-        assert not expected[1]
-        player.observe_feedback(1, 2, (0,), 0.5, [-0.5])
-        np.testing.assert_array_equal(seen, [expected])
+        assert not player.feasible_mask(3)[1]
+        player.observe_feedback(2, (0,), 0.5, [-0.5])
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0][0], mask)
+        np.testing.assert_array_equal(seen[0][1], pbar)
+        np.testing.assert_array_equal(pbar, renormalize(p, mask))
+        assert player.round is None
 
     def test_one_filter_per_round(self, monkeypatch):
         calls = []
@@ -315,6 +328,6 @@ class TestRoundMask:
         monkeypatch.setattr(Player, "feasible_mask", counting)
         player = Player(make_config())
         for t in range(5):
-            a, _ = player.select_action(t % 4)
-            player.observe_feedback(t % 4, a, (t % 3,), 0.3, [0.1])
+            a = player.select_action(t % 4)
+            player.observe_feedback(a, (t % 3,), 0.3, [0.1])
         assert len(calls) == 5
