@@ -24,7 +24,6 @@ from .game import (
     fixed_schedule,
     generate_random_game,
     run,
-    uniform_box_schedule,
     uniform_finite_schedule,
 )
 from .gp import ConfidenceParams, FactorizationError, GpModel, beta
@@ -108,7 +107,6 @@ __all__ = [
     "run",
     "sleeping_reward_completion",
     "theorem_bounds",
-    "uniform_box_schedule",
     "uniform_finite_schedule",
 ]
 

@@ -125,6 +125,12 @@ def _parse_player(obj: dict, path: str) -> PlayerBlock:
         )
     if not 0.0 < block.delta < 1.0:
         raise ConfigError(f"{path}.delta", "must lie in (0, 1)")
+    for key in ("rkhs_bound", "noise_scale"):
+        if not getattr(block, key) > 0.0:
+            raise ConfigError(f"{path}.{key}", "must be positive")
+    # a negative scale turns the LCB feasibility filter into an upper bound
+    if not block.beta_scale >= 0.0:
+        raise ConfigError(f"{path}.beta_scale", "must be nonnegative")
     return block
 
 

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from .gp import FactorizationError
 from .kernels import (
@@ -163,13 +162,13 @@ def _sample_gp_function(
         idx = rng.choice(len(grid), size=points_per_sample, replace=False)
         pts = grid[idx]
         K = gram(kernel, pts) + 1e-9 * np.eye(len(pts))
-        L = cholesky(K, lower=True)
+        L = np.linalg.cholesky(K)
         obs_x.append(pts)
         obs_y.append(L @ rng.standard_normal(len(pts)))
     X = np.concatenate(obs_x)
     y = np.concatenate(obs_y)
     A = gram(kernel, X) + obs_noise * np.eye(len(X))
-    alpha = cho_solve(cho_factor(A, lower=True), y)
+    alpha = np.linalg.solve(A, y)
     return cross(kernel, grid, X) @ alpha
 
 
@@ -280,11 +279,6 @@ def generate_random_game(
 def uniform_finite_schedule(num_contexts: int, T: int, seed: int) -> list[int]:
     rng = np.random.default_rng(seed)
     return [int(z) for z in rng.integers(num_contexts, size=T)]
-
-
-def uniform_box_schedule(dim: int, T: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    return [rng.random(dim) for _ in range(T)]
 
 
 def fixed_schedule(contexts, T: int) -> list:

@@ -3,20 +3,38 @@
 The learners query their models on a finite grid of inputs, so most
 observations repeat an earlier input.  With homoscedastic noise s2, n
 observations at one input with mean ybar carry exactly the information of
-one observation of ybar with noise s2 / n.  The model therefore factors
+one observation of ybar with noise s2 / n.  The model therefore works over
+the distinct inputs U only, with
 
-    A = K_UU + diag(s2 / n_j + jitter_j) = L L'
+    A = K_UU + diag(s2 / n_j + jitter_j) = L L',
 
-over the distinct inputs U only, and keeps w = L^-1 ybar beside it:
+and keeps the inverse factor W = L^-1 (lower triangular) and w = W ybar.
+A batch of queries is one product, v = W k(U, X): the mean is v'w and the
+variance k(x, x) - |v|^2.  The updates are products and prefix sums too,
+so no triangular solve remains; W sits in a (cap, cap) buffer that
+doubles when full and is read through the view W[:u, :u].
 
-* a new input borders L with one row, escalating its diagonal jitter if
-  the pivot breaks down;
-* a repeated input lowers its noise term from s2/n to s2/(n+1), a rank-1
-  downdate of L that changes only the rows from that input on.
+* A new input x: with c = W k(U, x) and l^2 = k(x, x) + s2 - |c|^2, the
+  factor gains the row [c', l] and W the row [-(c'W) / l, 1 / l].  Only
+  a pivot that breaks down gets a diagonal jitter, up to MAX_JITTER.
+* A repeat of input j lowers its noise term from s2/n to s2/(n+1):
+  A - delta e_j e_j' = L (I - q q') L' with delta = s2 / (n(n+1)) and
+  q = sqrt(delta) W e_j, which is zero above row j and is read from
+  column j of W with no solve.  I - q q' = M M', where, with
+  rho_k = 1 - sum_{i<k} q_i^2 and d_k = sqrt(rho_{k+1} / rho_k), M has d
+  on its diagonal and M_ik = -q_i q_k / sqrt(rho_k rho_{k+1}) below it
+  (Gill, Golub, Murray & Saunders 1974).  In row k of M x = b the earlier
+  terms sum to -q_k S_k / rho_k with S_k = sum_{i<k} q_i b_i (by
+  induction, as rho_k = rho_{k+1} + q_k^2), so
 
-A batch of queries costs one triangular solve, v = L^-1 k(U, X): the mean
-is v'w and the variance k(x, x) - |v|^2.  These match a dense solve over
-the full observation list to numerical precision, and so does the
+      x_k = (b_k + q_k S_k / rho_k) / d_k:
+
+  the new inverse factor M^-1 W differs from W only in rows j.., at the
+  cost of one exclusive prefix sum per column.  It breaks down when rho
+  reaches 0, that is when delta |W e_j|^2 >= 1.
+
+w is recomputed in the rows that changed.  Queries match a dense solve
+over the full observation list to numerical precision, and so does the
 realized information gain 0.5 * logdet(I + K / s2), which is summed per
 observation and feeds the confidence-width schedule.
 """
@@ -27,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .kernels import KernelSpec, cross, diag, evaluate
 
@@ -69,23 +86,6 @@ def beta(params: ConfidenceParams, info_gain_prev: float) -> float:
     )
 
 
-def _downdate(G: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Cholesky factor of G (I - q q') G' for lower-triangular G, |q| < 1.
-
-    The factor of I - q q' is M with M_kk = d_k and M_ik = q_i g_k below
-    the diagonal, where rho_k = 1 - sum_{i<k} q_i^2; so column k of G M is
-    d_k G[:, k] + g_k sum_{i>k} q_i G[:, i], a suffix sum over columns
-    (Gill, Golub, Murray & Saunders 1974, method C).
-    """
-    rho = 1.0 - np.concatenate(([0.0], np.cumsum(q * q)))
-    d = np.sqrt(rho[1:] / rho[:-1])
-    g = -q / np.sqrt(rho[:-1] * rho[1:])
-    Gq = G * q
-    suffix = np.zeros_like(G)
-    suffix[:, :-1] = np.cumsum(Gq[:, :0:-1], axis=1)[:, ::-1]
-    return G * d + suffix * g
-
-
 class GpModel:
     """Kernel regression state answering posterior mean/std queries.
 
@@ -101,12 +101,11 @@ class GpModel:
         self._y: list[float] = []
         self.running_info_gain = 0.0
         # distinct inputs, rows 0..size-1 of preallocated buffers; the
-        # factor L is a (size, size) view of the head of a flat buffer
+        # inverse factor W is the (size, size) head of a (cap, cap) buffer
         self._row: dict[bytes, int] = {}
         self._size = 0
         self._U = np.zeros((0, 0))
-        self._Lbuf = np.zeros(0)
-        self._L = np.zeros((0, 0))
+        self._W = np.zeros((0, 0))
         self._w = np.zeros(0)
         self._counts = np.zeros(0)
         self._sums = np.zeros(0)
@@ -115,6 +114,10 @@ class GpModel:
     @property
     def num_observations(self) -> int:
         return len(self._y)
+
+    @property
+    def num_distinct(self) -> int:
+        return self._size
 
     @property
     def inputs(self) -> np.ndarray:
@@ -143,14 +146,14 @@ class GpModel:
         return self
 
     def _add_input(self, x: np.ndarray, y: float) -> float:
-        """Border L with a new input; returns the posterior variance at x
-        before this observation, k(x, x) - |c|^2 for the border row c."""
+        """Border the factor with a new input; returns the posterior
+        variance at x before this observation, k(x, x) - |c|^2."""
         u = self._size
         kxx = evaluate(self.kernel, x, x)
         diag_entry = kxx + self.noise_variance
         if u:
             kvec = cross(self.kernel, self._U[:u], x[None, :]).ravel()
-            c = solve_triangular(self._L, kvec, lower=True, check_finite=False)
+            c = self._W[:u, :u] @ kvec
         else:
             c = np.zeros(0)
         cc = c @ c
@@ -166,15 +169,16 @@ class GpModel:
                 "Cholesky border update broke down beyond maximum jitter"
             )
         self._grow(len(x))
+        ell = math.sqrt(piv)
+        self._W[u, :u] = (c @ self._W[:u, :u]) / -ell
+        self._W[u, u] = 1.0 / ell
         self._U[u] = x
-        self._L[u, :u] = c
-        self._L[u, u] = math.sqrt(piv)
-        self._w[u] = (y - c @ self._w[:u]) / self._L[u, u]
         self._counts[u] = 1.0
         self._sums[u] = y
         self._jitter[u] = jitter
         self._row[x.tobytes()] = u
         self._size = u + 1
+        self._refresh_w(u)
         return kxx - cc
 
     def _repeat_input(self, j: int, y: float) -> float:
@@ -182,51 +186,48 @@ class GpModel:
         variance at that input before this observation.
 
         With A = K + S for the diagonal noise S, that variance is
-        S_jj - S_jj^2 [A^-1]_jj, and [A^-1]_jj = |z|^2 for z = L^-1 e_j,
-        whose entries from j on the downdate needs anyway (the rest are 0).
+        S_jj - S_jj^2 [A^-1]_jj, and [A^-1]_jj = |W e_j|^2 = |z|^2.
         """
         u = self._size
         n = self._counts[j]
         s_jj = self.noise_variance / n + self._jitter[j]
         delta = self.noise_variance / (n * (n + 1.0))
-        G = self._L[j:u, j:u]
-        e0 = np.zeros(u - j)
-        e0[0] = 1.0
-        z = solve_triangular(G, e0, lower=True, check_finite=False)
+        B = self._W[j:u, :u]  # the rows M^-1 changes, updated in place
+        z = B[:, j]
         zz = z @ z
-        if delta * zz >= 1.0:
+        q = math.sqrt(delta) * z
+        rho = 1.0 - np.concatenate(([0.0], np.cumsum(q * q)))
+        if rho[-1] <= 0.0:
             raise FactorizationError("Cholesky downdate of a repeated input broke down")
-        G_new = _downdate(G, math.sqrt(delta) * z)
+        d = np.sqrt(rho[1:] / rho[:-1])
+        S = np.zeros_like(B)
+        np.cumsum(q[:-1, None] * B[:-1], axis=0, out=S[1:])
+        B += (q / rho[:-1])[:, None] * S
+        B /= d[:, None]
         self._counts[j] = n + 1.0
         self._sums[j] += y
-        ybar = self._sums[j:u] / self._counts[j:u]
-        rhs = ybar - self._L[j:u, :j] @ self._w[:j]
-        self._w[j:u] = solve_triangular(G_new, rhs, lower=True, check_finite=False)
-        self._L[j:u, j:u] = G_new
+        self._refresh_w(j)
         return s_jj - s_jj * s_jj * zz
 
-    def _grow(self, dim: int) -> None:
-        """Make room for one more distinct input.
+    def _refresh_w(self, j: int) -> None:
+        """w = W ybar from row j on; the rows above j did not change."""
+        u = self._size
+        ybar = self._sums[:u] / self._counts[:u]
+        self._w[j:u] = self._W[j:u, :u] @ ybar
 
-        The buffers double when full.  L stays contiguous, so that the
-        triangular solves read it without a copy: its rows move to the
-        wider stride, and the new last row is left for the caller to fill.
-        """
+    def _grow(self, dim: int) -> None:
+        """Make room for one more distinct input; the buffers double when full."""
         u = self._size
         if u == len(self._w):
             cap = max(2 * u, 16)
-            buf = np.zeros(cap * cap)  # pages stay unmapped until L reaches them
-            buf[: u * u] = self._Lbuf[: u * u]
-            self._Lbuf = buf
+            W = np.zeros((cap, cap))  # pages stay unmapped until W reaches them
+            W[:u, :u] = self._W[:u, :u]
+            self._W = W
             self._U = np.concatenate([self._U.reshape(-1, dim), np.zeros((cap - u, dim))])
             self._w, self._counts, self._sums, self._jitter = (
                 np.concatenate([a, np.zeros(cap - u)])
                 for a in (self._w, self._counts, self._sums, self._jitter)
             )
-        L = self._Lbuf[: (u + 1) ** 2].reshape(u + 1, u + 1)
-        L[:u, :u] = self._Lbuf[: u * u].reshape(u, u)  # overlapping move
-        L[:u, u] = 0.0
-        self._L = L
 
     def posterior(self, x) -> tuple[float, float]:
         """Posterior (mean, std) at a single query point."""
@@ -245,7 +246,7 @@ class GpModel:
         if u == 0:
             return np.zeros(len(X)), np.sqrt(np.maximum(prior_var, 0.0))
         kmat = cross(self.kernel, self._U[:u], X)
-        v = solve_triangular(self._L, kmat, lower=True, check_finite=False)
+        v = self._W[:u, :u] @ kmat
         means = v.T @ self._w[:u]
         var = prior_var - np.einsum("ij,ij->j", v, v)
         return means, np.sqrt(np.maximum(var, 0.0))

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 
 class KernelError(ValueError):
@@ -53,13 +51,15 @@ class Matern:
             return (1.0 + r) * np.exp(-r)
         if self.nu == 2.5:
             return (1.0 + r + r**2 / 3.0) * np.exp(-r)
-        # general nu via the modified Bessel function; r=0 handled as the
-        # limit value 1
+        # general nu via the modified Bessel function, the package's only
+        # use of scipy, imported here; r=0 is handled as the limit value 1
+        from scipy.special import kv
+
         out = np.ones_like(r)
         pos = r > 0
         rp = r[pos]
         out[pos] = (
-            (2.0 ** (1.0 - self.nu) / gamma_fn(self.nu))
+            (2.0 ** (1.0 - self.nu) / math.gamma(self.nu))
             * rp**self.nu
             * kv(self.nu, rp)
         )

@@ -12,7 +12,7 @@ from the same sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,7 +202,6 @@ class MetricsReport:
     cce_eps: float | None            # None for a trajectory with no rounds
     cce_terms: dict
     status: str
-    extra: dict = field(default_factory=dict)
 
     def final_regret(self, player: int) -> float:
         r = self.regret[player]

@@ -94,6 +94,19 @@ class TestRunCommand:
         path.write_text("{}")
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise_scale", 0), ("rkhs_bound", 0), ("beta_scale", -1),
+    ])
+    def test_bad_player_scale_exit_code(self, tmp_path, capsys, key, value):
+        doc = config_doc(seeds=[0])
+        doc["players"][0][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert f".players[0].{key}" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 

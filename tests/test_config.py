@@ -121,6 +121,19 @@ class TestErrors:
             parse_config(base_config(context_schedule={
                 "mode": "fixed_sequence", "contexts": [0, 1, z]}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise_scale", 0), ("noise_scale", -0.5), ("rkhs_bound", 0),
+        ("rkhs_bound", -1), ("beta_scale", -1), ("beta_scale", float("nan")),
+    ])
+    def test_bad_player_scale(self, key, value):
+        with pytest.raises(ConfigError, match=rf"\.players\[0\]\.{key}: "):
+            parse_config(base_config(players=[{"algorithm": "cz_ada_normal_gp",
+                                               key: value}, {}]))
+
+    def test_zero_beta_scale_accepted(self):
+        config = parse_config(base_config(players=[{"beta_scale": 0}, {}]))
+        assert config.players[0].beta_scale == 0.0
+
     def test_unknown_player_key(self):
         with pytest.raises(ConfigError):
             parse_config(base_config(players=[{"lr": 0.1}, {}]))

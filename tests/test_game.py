@@ -10,7 +10,6 @@ from congames.game import (
     fixed_schedule,
     generate_random_game,
     run,
-    uniform_box_schedule,
     uniform_finite_schedule,
 )
 from congames.gp import ConfidenceParams
@@ -140,13 +139,6 @@ class TestSchedules:
         assert s1 == s2
         assert set(s1) <= {0, 1, 2, 3}
         assert len(s1) == 100
-
-    def test_uniform_box_in_unit_cube(self):
-        sched = uniform_box_schedule(2, 10, seed=1)
-        assert len(sched) == 10
-        for z in sched:
-            assert z.shape == (2,)
-            assert np.all((z >= 0) & (z <= 1))
 
     def test_fixed_schedule_truncates(self):
         assert fixed_schedule([0, 1, 0, 1], 3) == [0, 1, 0]

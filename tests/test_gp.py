@@ -198,7 +198,7 @@ class TestRepeatedInputs:
         y = rng.normal(size=300)
         for xi, yi in zip(X, y):
             model.add_observation(xi, yi)
-        assert model._L.shape == (23, 23)
+        assert model.num_distinct == 23
         queries = np.linspace(-1.0, 12.0, 30)[:, None]
         means, stds = model.posterior_batch(queries)
         om, os = dense_posterior(kernel, 0.1, X, y, queries)
