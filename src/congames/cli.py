@@ -40,6 +40,7 @@ from .strategy import (
 )
 
 _SEED_STRIDE = 1_000_003
+_CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(x) -> str:
@@ -220,16 +221,17 @@ def _csv_header(num_players: int, num_constraints: int) -> list[str]:
 
 def _write_seed_csv(out_dir: Path, result: dict) -> None:
     # integers for t, z and the actions, 12 significant digits (as _fmt)
-    # for the rest, and csv.writer's line ending
+    # for the rest, and csv.writer's line ending; one % per block of rows
     header = _csv_header(result["num_players"], result["num_constraints"])
     labels = 2 + result["num_players"]
+    line = ",".join(["%d"] * labels + ["%.12g"] * (len(header) - labels)) + "\r\n"
+    rows = result["rows"]
     path = out_dir / f"rounds_seed{result['seed']}.csv"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        np.savetxt(
-            fh, result["rows"], delimiter=",", newline="\r\n",
-            fmt=["%d"] * labels + ["%.12g"] * (len(header) - labels),
-        )
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _aggregate(results: list[dict], T: int) -> dict:

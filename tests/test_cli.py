@@ -185,6 +185,48 @@ class TestRunCommand:
         assert (tmp_path / "rounds_seed4.csv").read_bytes() == expected.encode()
         assert "-0,1e-13,1.23456789012e+14," in expected
 
+    @pytest.mark.parametrize("num_rows", [0, 2 * 4096 + 3])
+    def test_csv_rows_written_in_blocks(self, tmp_path, num_rows):
+        rng = np.random.default_rng(num_rows)
+        labels = rng.integers(0, 7, size=(num_rows, 4))
+        floats = rng.standard_normal((num_rows, 4)) * 10.0 ** rng.integers(
+            -20, 20, size=(num_rows, 4)
+        )
+        _write_seed_csv(tmp_path, {
+            "seed": 0, "num_players": 2, "num_constraints": 1,
+            "rows": np.column_stack([labels, floats]),
+        })
+        expected = "t,z,a0,a1,regret_p0,regret_p1,viol_p0_m0,viol_p1_m0\r\n"
+        expected += "".join(
+            ",".join([str(v) for v in ints] + [format(v, ".12g") for v in vals])
+            + "\r\n"
+            for ints, vals in zip(labels.tolist(), floats.tolist())
+        )
+        assert (tmp_path / "rounds_seed0.csv").read_bytes() == expected.encode()
+
+    def test_malformed_game_file_names_player_and_shape(self, tmp_path):
+        # the error names the table whichever actions the rounds play
+        config = parse_config(json.dumps(config_doc()))
+        from congames.cli import _load_game
+
+        doc = json.loads(_load_game(config, 0).to_json())
+        doc["rewards"][0] = [plane[:2] for plane in doc["rewards"][0]]
+        game_path = tmp_path / "game.json"
+        game_path.write_text(json.dumps(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_doc(
+            seeds=[0], game={"path": str(game_path)},
+            players=[{"algorithm": "random"}] * 2,
+        )))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["statuses"] == {"0": "error"}
+        assert (
+            "ValueError: player 0: reward table has shape (3, 2, 2), "
+            "expected (3, 3, 2)"
+        ) in summary["errors"]["0"]
+
     def test_factorization_error_is_a_run_status(self, monkeypatch, tmp_path):
         real = GpModel.add_observation
 

@@ -1,8 +1,11 @@
 """Game definition, generator, schedules, and simulation loop tests."""
 
+import json
+
 import numpy as np
 import pytest
 
+from congames import game as game_mod
 from congames.game import (
     GameDefinition,
     GENERATOR_SCHEME,
@@ -13,7 +16,7 @@ from congames.game import (
     uniform_finite_schedule,
 )
 from congames.gp import ConfidenceParams
-from congames.kernels import Product, SquaredExponential
+from congames.kernels import Product, SquaredExponential, cross
 from congames.strategy import (
     CZ_ADA_NORMAL_GP,
     FiniteContexts,
@@ -87,13 +90,107 @@ class TestGameDefinition:
         assert again.to_json() == text
         np.testing.assert_array_equal(again.rewards[0], game.rewards[0])
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: d["rewards"].__setitem__(1, d["rewards"][1][:2]),
+                     r"player 1: reward table has shape \(2, 3, 2\), "
+                     r"expected \(3, 3, 2\)",
+                     id="truncated-reward-table"),
+        pytest.param(lambda d: d["rewards"].pop(), "2 players need 2 reward",
+                     id="missing-reward-table"),
+        pytest.param(lambda d: d["rewards"][0][1][2].append(0.5),
+                     "player 0: reward table is not a rectangular array",
+                     id="ragged-reward-table"),
+        pytest.param(lambda d: d["constraints"][1].append(d["constraints"][1][0]),
+                     r"player 1: constraint table has shape \(2, 3\), "
+                     r"expected \(1, 3\) or \(1, 3, 2\)",
+                     id="constraint-counts-differ"),
+        pytest.param(lambda d: d["constraints"][0][0].pop(),
+                     r"player 0: constraint table has shape \(1, 2\)",
+                     id="short-constraint-table"),
+        pytest.param(lambda d: d["rewards"][1][0][0].__setitem__(1, float("nan")),
+                     "player 1: reward table has non-finite values",
+                     id="nan-reward"),
+        pytest.param(lambda d: d["constraints"][0][0].__setitem__(2, float("inf")),
+                     "player 0: constraint table has non-finite values",
+                     id="inf-constraint"),
+        pytest.param(lambda d: d["reward_noise"].pop(),
+                     "expected 2 reward noise scales", id="short-reward-noise"),
+        pytest.param(lambda d: d["constraint_noise"][1].append(1.0),
+                     "2 rows of 1 constraint noise scales",
+                     id="long-constraint-noise"),
+        pytest.param(lambda d: d["constraint_noise"][0].__setitem__(0, -0.5),
+                     "noise scales must be finite and >= 0", id="negative-noise"),
+        pytest.param(lambda d: d.__setitem__("num_contexts", 0),
+                     "at least one player", id="no-contexts"),
+    ])
+    def test_malformed_game_rejected(self, edit, message):
+        doc = json.loads(
+            generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
+            .to_json()
+        )
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            GameDefinition.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("constraints, noise", [
+        pytest.param([np.zeros(0), np.zeros(0)], [[], []], id="empty"),
+        pytest.param([-np.ones((2, 2, 2)), -np.ones((2, 2))],
+                     [[0.0, 0.1], [0.0, 0.1]], id="context-and-context-free"),
+    ])
+    def test_constraint_layouts_accepted(self, constraints, noise):
+        game = tiny_game(constraints)
+        game.constraint_noise = noise
+        again = GameDefinition.from_json(game.to_json())
+        assert again.num_constraints == len(noise[0])
+
     def test_context_embedding_default(self):
         game = tiny_game()
         np.testing.assert_allclose(game.context_embedding(0), [0.25])
         np.testing.assert_allclose(game.context_embedding(1), [0.75])
 
 
+# every (N, K, Z) of these up to about 60k grid rows
+DENSE_GRIDS = [
+    (N, K, Z)
+    for N in (2, 3, 4) for K in (2, 3, 7) for Z in (1, 2, 5, 25)
+    if K**N * Z <= 60_000
+]
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("N, K, Z", DENSE_GRIDS)
+    def test_tables_equal_dense_posterior_mean(self, monkeypatch, N, K, Z):
+        # the generator evaluates the reward mean per kernel factor; every
+        # table must equal cross(kernel, grid, X) @ alpha bit for bit
+        real = game_mod._sample_gp_function
+        for seed in (0, 1, 2):
+            calls = []
+
+            def recording(rng, kernel, grid, *args):
+                X, alpha = real(rng, kernel, grid, *args)
+                calls.append((kernel, grid, X, alpha))
+                return X, alpha
+
+            monkeypatch.setattr(game_mod, "_sample_gp_function", recording)
+            game = generate_random_game(
+                seed, num_players=N, num_actions=K, num_contexts=Z
+            )
+            assert len(calls) == 2 * N
+            shape = (K,) * N + (Z,)
+            for i, (kernel, grid, X, alpha) in enumerate(calls[:N]):
+                # grid rows in table order: joint actions, context fastest
+                assert np.array_equal(grid, np.argwhere(np.ones(shape)))
+                dense = cross(kernel, grid, X) @ alpha
+                lo, hi = dense.min(), dense.max()
+                assert np.array_equal(
+                    game.rewards[i], ((dense - lo) / (hi - lo)).reshape(shape)
+                )
+            for i, (kernel, grid, X, alpha) in enumerate(calls[N:]):
+                dense = cross(kernel, grid, X) @ alpha
+                assert np.array_equal(
+                    game.constraints[i], [dense - np.quantile(dense, 0.25)]
+                )
+
     def test_deterministic_per_seed(self):
         g1 = generate_random_game(5, num_players=2, num_actions=3, num_contexts=2)
         g2 = generate_random_game(5, num_players=2, num_actions=3, num_contexts=2)
