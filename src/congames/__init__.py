@@ -52,12 +52,9 @@ from .metrics import (
 from .strategy import (
     ALGORITHMS,
     ContextRouter,
-    EpsilonNet,
-    FiniteContexts,
     InfeasibilityDeclared,
     Player,
     PlayerConfig,
-    default_epsilon,
     renormalize,
 )
 
@@ -65,9 +62,7 @@ __all__ = [
     "ALGORITHMS",
     "ConfidenceParams",
     "ContextRouter",
-    "EpsilonNet",
     "FactorizationError",
-    "FiniteContexts",
     "GameDefinition",
     "GpModel",
     "HedgeState",
@@ -92,7 +87,6 @@ __all__ = [
     "cross",
     "cumulative_violations",
     "default_constraint_kernel",
-    "default_epsilon",
     "default_reward_kernel",
     "empirical_policy",
     "evaluate",

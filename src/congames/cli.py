@@ -26,15 +26,19 @@ import numpy as np
 
 from . import game as game_mod
 from . import metrics as metrics_mod
-from .config import ConfigError, ExperimentConfig, PlayerBlock, parse_config
-from .experts import SleepingExpertState
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    PlayerBlock,
+    check_game_shape,
+    parse_config,
+)
 from .gp import ConfidenceParams
 from .strategy import (
     ADA_NORMAL_HEDGE,
     RANDOM,
     USES_CONSTRAINTS,
     USES_CONTEXT,
-    FiniteContexts,
     Player,
     PlayerConfig,
 )
@@ -73,7 +77,6 @@ def build_player(
     if block.algorithm == RANDOM:
         return Player(
             PlayerConfig(
-                num_players=game.num_players,
                 player_index=player_index,
                 num_actions=game.num_actions,
                 algorithm=RANDOM,
@@ -97,15 +100,13 @@ def build_player(
     constraint_kernel = block.constraint_kernel or game_mod.default_constraint_kernel()
     return Player(
         PlayerConfig(
-            num_players=game.num_players,
             player_index=player_index,
             num_actions=game.num_actions,
             algorithm=block.algorithm,
             seed=seed,
             beta_scale=block.beta_scale,
             noise_variance=block.noise_scale**2,
-            context_mode=FiniteContexts(game.num_contexts),
-            expert_rule=block.expert_rule,
+            num_contexts=game.num_contexts,
             reward_kernel=reward_kernel,
             reward_confidence=confidence,
             num_constraints=num_constraints,
@@ -157,11 +158,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> dict:
                 continue
             magnitudes = None
             if player.config.expert_rule == ADA_NORMAL_HEDGE:
-                magnitudes = [
-                    s.magnitudes
-                    for s in player.router.states.values()
-                    if isinstance(s, SleepingExpertState)
-                ]
+                magnitudes = [s.magnitudes for s in player.router.states.values()]
             regret_bound, violation_bounds = metrics_mod.theorem_bounds(
                 num_actions=game.num_actions,
                 num_contexts=game.num_contexts,
@@ -312,15 +309,31 @@ def _metadata_stamp(config_text: str, config: ExperimentConfig) -> dict:
     }
 
 
+def _check_game_file(config: ExperimentConfig) -> None:
+    """Read and validate the config's game file once, before any seed runs."""
+    path = config.game.path
+    try:
+        game = game_mod.GameDefinition.from_json(Path(path).read_text())
+    except KeyError as exc:
+        raise ConfigError(".game.path", f"{path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(".game.path", f"{path}: {exc}") from exc
+    check_game_shape(config, game.num_players, game.num_contexts)
+
+
 def cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text()
         config = parse_config(text)
+        if config.game.path is not None:
+            _check_game_file(config)
+        if args.seed_override is not None:
+            if args.seed_override < 0:
+                raise ConfigError("--seed-override", "must be at least 0")
+            config.seeds = [args.seed_override]
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.seed_override is not None:
-        config.seeds = [args.seed_override]
     out_dir = Path(args.out or config.output_dir or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metadata.json").write_text(

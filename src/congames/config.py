@@ -7,6 +7,7 @@ misspelled field fails loudly instead of silently running defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .kernels import KernelSpec, kernel_from_config
@@ -24,12 +25,31 @@ class ConfigError(ValueError):
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "must be an object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}", "unknown key")
     for key in required:
         if key not in obj:
             raise ConfigError(f"{path}.{key}", "missing required key")
+
+
+def _integer(value, path: str, minimum: int | None = None) -> int:
+    # bool is an int subclass, but true is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, "must be an integer")
+    if minimum is not None and value < minimum:
+        raise ConfigError(path, f"must be at least {minimum}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, "must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(path, "must be finite")
+    return value
 
 
 @dataclass
@@ -60,7 +80,6 @@ class PlayerBlock:
     beta_scale: float = 1.0
     reward_kernel: KernelSpec | None = None       # None: generator defaults
     constraint_kernel: KernelSpec | None = None
-    expert_rule: str | None = None
 
 
 @dataclass
@@ -80,38 +99,48 @@ class ExperimentConfig:
     bound_checks: bool = True
 
 
+# the least value of each generator count; K and Z are accepted
+# shorthands for the action and context counts
+_GENERATOR_COUNTS = {
+    "num_players": 2, "num_actions": 2, "num_contexts": 1, "num_constraints": 0,
+    "num_gp_samples": 1, "points_per_sample": 1,
+}
+_SHORTHANDS = {"K": "num_actions", "Z": "num_contexts"}
+
+
 def _parse_generator(obj: dict, path: str) -> GeneratorParams:
     allowed = {
-        "num_players", "num_actions", "num_contexts", "num_constraints",
-        "num_gp_samples", "points_per_sample", "obs_noise", "noise_scale",
-        "feasible_quantile", "K", "Z",
+        *_GENERATOR_COUNTS, *_SHORTHANDS, "obs_noise", "noise_scale",
+        "feasible_quantile",
     }
     _require_keys(obj, allowed, set(), path)
     params = GeneratorParams()
-    # K and Z are accepted shorthands for the action and context counts
-    mapping = {"K": "num_actions", "Z": "num_contexts"}
     for key, value in obj.items():
-        setattr(params, mapping.get(key, key), value)
-    if params.num_actions < 2:
-        raise ConfigError(f"{path}.num_actions", "must be at least 2")
-    if params.num_contexts < 1:
-        raise ConfigError(f"{path}.num_contexts", "must be at least 1")
+        name = _SHORTHANDS.get(key, key)
+        if name in _GENERATOR_COUNTS:
+            _integer(value, f"{path}.{key}", _GENERATOR_COUNTS[name])
+        else:
+            _number(value, f"{path}.{key}")
+        setattr(params, name, value)
+    if not params.obs_noise > 0.0:
+        raise ConfigError(f"{path}.obs_noise", "must be positive")
+    if not params.noise_scale >= 0.0:
+        raise ConfigError(f"{path}.noise_scale", "must be nonnegative")
+    if not 0.0 <= params.feasible_quantile <= 1.0:
+        raise ConfigError(f"{path}.feasible_quantile", "must lie in [0, 1]")
     return params
 
 
 def _parse_player(obj: dict, path: str) -> PlayerBlock:
     allowed = {
         "algorithm", "delta", "rkhs_bound", "noise_scale", "beta_scale",
-        "reward_kernel", "constraint_kernel", "expert_rule",
+        "reward_kernel", "constraint_kernel",
     }
     _require_keys(obj, allowed, set(), path)
-    block = PlayerBlock()
-    for key in ("algorithm", "expert_rule"):
-        if key in obj:
-            setattr(block, key, obj[key])
+    block = PlayerBlock(algorithm=obj.get("algorithm", RANDOM))
     for key in ("delta", "rkhs_bound", "noise_scale", "beta_scale"):
         if key in obj:
-            setattr(block, key, float(obj[key]))
+            setattr(block, key, float(_number(obj[key], f"{path}.{key}")))
     for key in ("reward_kernel", "constraint_kernel"):
         if key in obj:
             try:
@@ -153,18 +182,18 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(".game", "exactly one of 'generate' or 'path' required")
     if "generate" in game_obj:
         game = GameBlock(generate=_parse_generator(game_obj["generate"], ".game.generate"))
+    elif isinstance(game_obj["path"], str):
+        game = GameBlock(path=game_obj["path"])
     else:
-        game = GameBlock(path=str(game_obj["path"]))
+        raise ConfigError(".game.path", "must be a string")
 
-    T = doc["T"]
-    if not isinstance(T, int) or T < 1:
-        raise ConfigError(".T", "must be a positive integer")
+    T = _integer(doc["T"], ".T", 1)
 
     seeds = doc.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) for s in seeds
-    ):
+    if not isinstance(seeds, list) or not seeds:
         raise ConfigError(".seeds", "must be a non-empty list of integers")
+    for i, s in enumerate(seeds):
+        _integer(s, f".seeds[{i}]", 0)
 
     players_obj = doc.get("players")
     if players_obj is None:
@@ -176,8 +205,6 @@ def parse_config(text: str) -> ExperimentConfig:
         players = [
             _parse_player(p, f".players[{i}]") for i, p in enumerate(players_obj)
         ]
-    if game.generate and players and len(players) != game.generate.num_players:
-        raise ConfigError(".players", "player count must match the game")
 
     sched_obj = doc.get("context_schedule", {"mode": "uniform_iid"})
     _require_keys(sched_obj, {"mode", "contexts"}, set(), ".context_schedule")
@@ -186,24 +213,43 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(".context_schedule.mode", "unknown schedule mode")
     if schedule.mode == "fixed_sequence":
         contexts = sched_obj.get("contexts")
-        if not contexts:
-            raise ConfigError(".context_schedule.contexts", "must be non-empty")
-        schedule.contexts = [int(z) for z in contexts]
-        if game.generate is not None:
-            num_contexts = game.generate.num_contexts
-            for z in schedule.contexts:
-                if not 0 <= z < num_contexts:
-                    raise ConfigError(
-                        ".context_schedule.contexts",
-                        f"context {z} is outside [0, {num_contexts})",
-                    )
+        if not isinstance(contexts, list) or not contexts:
+            raise ConfigError(".context_schedule.contexts", "must be a non-empty list")
+        schedule.contexts = [
+            _integer(z, f".context_schedule.contexts[{t}]")
+            for t, z in enumerate(contexts)
+        ]
 
-    return ExperimentConfig(
+    output_dir = doc.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(".output_dir", "must be a string")
+    bound_checks = doc.get("bound_checks", True)
+    if not isinstance(bound_checks, bool):
+        raise ConfigError(".bound_checks", "must be true or false")
+
+    config = ExperimentConfig(
         game=game,
         T=T,
         seeds=list(seeds),
         players=players,
         schedule=schedule,
-        output_dir=doc.get("output_dir"),
-        bound_checks=bool(doc.get("bound_checks", True)),
+        output_dir=output_dir,
+        bound_checks=bound_checks,
     )
+    if game.generate is not None:
+        check_game_shape(config, game.generate.num_players, game.generate.num_contexts)
+    return config
+
+
+def check_game_shape(config: ExperimentConfig, num_players: int,
+                     num_contexts: int) -> None:
+    """Check the player blocks and the fixed context sequence against the
+    game's player count N and context count Z."""
+    if len(config.players) != num_players:
+        raise ConfigError(".players", "player count must match the game")
+    for z in config.schedule.contexts:
+        if not 0 <= z < num_contexts:
+            raise ConfigError(
+                ".context_schedule.contexts",
+                f"context {z} is outside [0, {num_contexts})",
+            )

@@ -27,7 +27,7 @@ from .kernels import (
     kernel_from_config,
     kernel_to_config,
 )
-from .strategy import RANDOM, EpsilonNet, InfeasibilityDeclared, Player
+from .strategy import InfeasibilityDeclared, Player
 
 GENERATOR_SCHEME = "gp-posterior-mean-of-sampled-observations-v1"
 
@@ -48,13 +48,6 @@ class GameDefinition:
     @property
     def num_constraints(self) -> int:
         return self.constraints[0].shape[0] if self.constraints else 0
-
-    def context_embedding(self, z: int) -> np.ndarray:
-        """Numeric context vector in [0,1]^d for continuous-context learners."""
-        values = self.metadata.get("context_values")
-        if values is not None:
-            return np.asarray(values[z], dtype=float)
-        return np.array([(z + 0.5) / self.num_contexts])
 
     def reward(self, player: int, joint_action, z: int) -> float:
         return float(self.rewards[player][tuple(joint_action) + (z,)])
@@ -407,19 +400,10 @@ def run(
             noisy_constraints[:rounds], **status,
         )
 
-    # epsilon-net learners see the numeric embedding, not the id
-    embedded = [
-        p.config.algorithm != RANDOM and isinstance(p.config.context_mode, EpsilonNet)
-        for p in players
-    ]
-
     for t in range(T):
         z = int(contexts[t])
         try:
-            joint = tuple(
-                p.select_action(game.context_embedding(z) if e else z)
-                for p, e in zip(players, embedded)
-            )
+            joint = tuple(p.select_action(z) for p in players)
         except InfeasibilityDeclared as declared:
             return played(
                 t,

@@ -97,8 +97,6 @@ class GpModel:
             raise ValueError("noise_variance must be positive")
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
-        self._X: list[np.ndarray] = []
-        self._y: list[float] = []
         self.running_info_gain = 0.0
         # distinct inputs, rows 0..size-1 of preallocated buffers; the
         # inverse factor W is the (size, size) head of a (cap, cap) buffer
@@ -113,7 +111,8 @@ class GpModel:
 
     @property
     def num_observations(self) -> int:
-        return len(self._y)
+        """Observations fed so far, repeats included."""
+        return int(self._counts[:self._size].sum())
 
     @property
     def num_distinct(self) -> int:
@@ -121,11 +120,8 @@ class GpModel:
 
     @property
     def inputs(self) -> np.ndarray:
-        return np.asarray(self._X, dtype=float)
-
-    @property
-    def targets(self) -> np.ndarray:
-        return np.asarray(self._y, dtype=float)
+        """The distinct inputs, one row each, in order of first observation."""
+        return self._U[:self._size].copy()
 
     def add_observation(self, x, y: float) -> "GpModel":
         if not np.isfinite(y):
@@ -138,8 +134,6 @@ class GpModel:
             prev_var = self._add_input(x, float(y))
         else:
             prev_var = self._repeat_input(j, float(y))
-        self._X.append(x)
-        self._y.append(float(y))
         self.running_info_gain += 0.5 * math.log1p(
             max(prev_var, 0.0) / self.noise_variance
         )

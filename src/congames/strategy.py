@@ -17,7 +17,6 @@ a single bucket, and the random baseline plays uniform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,7 @@ ALGORITHMS = (CZ_ADA_NORMAL_GP, C_ADA_NORMAL_GP, Z_GPMW, GPMW, RANDOM)
 # which code paths each algorithm variant enables
 USES_CONTEXT = {CZ_ADA_NORMAL_GP: True, C_ADA_NORMAL_GP: False, Z_GPMW: True, GPMW: False}
 USES_CONSTRAINTS = {CZ_ADA_NORMAL_GP: True, C_ADA_NORMAL_GP: True, Z_GPMW: False, GPMW: False}
-_DEFAULT_EXPERT_RULE = {
+EXPERT_RULE = {
     CZ_ADA_NORMAL_GP: ADA_NORMAL_HEDGE,
     C_ADA_NORMAL_GP: ADA_NORMAL_HEDGE,
     Z_GPMW: REDUCED_HEDGE,
@@ -59,29 +58,6 @@ class InfeasibilityDeclared(RuntimeError):
         self.context = context
 
 
-@dataclass(frozen=True)
-class FiniteContexts:
-    num_contexts: int
-
-
-@dataclass(frozen=True)
-class EpsilonNet:
-    dim: int
-    epsilon: float | None = None  # None: set from lipschitz_product and horizon
-    lipschitz_product: float = 1.0
-    horizon: int = 1000
-
-
-ContextMode = FiniteContexts | EpsilonNet
-
-
-def default_epsilon(lipschitz_product: float, d: int, T: int) -> float:
-    """Covering radius (L_r*L_p)^(-2/(d+2)) * T^(-1/(d+2))."""
-    if lipschitz_product <= 0 or d <= 0 or T <= 0:
-        raise ValueError("all arguments must be positive")
-    return lipschitz_product ** (-2.0 / (d + 2)) * T ** (-1.0 / (d + 2))
-
-
 def renormalize(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Restrict p to the masked-in set and renormalize (uniform fallback)."""
     mask = np.asarray(mask, dtype=bool)
@@ -96,7 +72,6 @@ def renormalize(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PlayerConfig:
-    num_players: int
     player_index: int
     num_actions: int
     algorithm: str = CZ_ADA_NORMAL_GP
@@ -105,8 +80,7 @@ class PlayerConfig:
     constraint_kernels: list[KernelSpec] = field(default_factory=list)
     reward_confidence: ConfidenceParams | None = None
     constraint_confidences: list[ConfidenceParams] = field(default_factory=list)
-    context_mode: ContextMode = FiniteContexts(1)
-    expert_rule: str | None = None  # None: per-algorithm default
+    num_contexts: int = 1
     noise_variance: float = 1.0
     beta_scale: float = 1.0
     seed: int = 0
@@ -114,10 +88,10 @@ class PlayerConfig:
     def __post_init__(self):
         if self.num_actions < 2:
             raise ValueError("num_actions must be at least 2")
+        if self.num_contexts < 1:
+            raise ValueError("num_contexts must be at least 1")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.expert_rule is None and self.algorithm != RANDOM:
-            self.expert_rule = _DEFAULT_EXPERT_RULE[self.algorithm]
         if self.algorithm != RANDOM:
             if self.reward_kernel is None or self.reward_confidence is None:
                 raise ValueError(
@@ -128,9 +102,11 @@ class PlayerConfig:
                 raise ValueError("one constraint kernel per constraint required")
             if len(self.constraint_confidences) != self.num_constraints:
                 raise ValueError("one confidence block per constraint required")
-        if isinstance(self.context_mode, EpsilonNet):
-            if self.context_mode.epsilon is not None and self.context_mode.epsilon <= 0:
-                raise ValueError("epsilon must be positive when fixed")
+
+    @property
+    def expert_rule(self) -> str | None:
+        """Fixed by the algorithm; None for the random baseline."""
+        return None if self.algorithm == RANDOM else EXPERT_RULE[self.algorithm]
 
     @property
     def uses_context(self) -> bool:
@@ -142,28 +118,20 @@ class PlayerConfig:
 
 
 class ContextRouter:
-    """Maps contexts to per-bucket expert states.
+    """Maps context ids to per-bucket expert states.
 
-    Finite mode keys buckets by context id; epsilon-net mode greedily
-    covers [0,1]^d with L1 balls, one bucket per center.  Ties between
-    equally close centers break toward the earlier-created one.
+    A contextual learner keeps one bucket per context id in [0, Z); a
+    non-contextual one plays every context from bucket 0.  A bucket's
+    state is created on the first visit.
     """
 
-    def __init__(self, mode: ContextMode, num_actions: int, expert_rule: str,
+    def __init__(self, num_contexts: int, num_actions: int, expert_rule: str,
                  use_context: bool):
-        self.mode = mode
+        self.num_contexts = num_contexts
         self.num_actions = num_actions
         self.expert_rule = expert_rule
         self.use_context = use_context
         self.states: dict[int, experts.SleepingExpertState | experts.HedgeState] = {}
-        self.centers: list[np.ndarray] = []
-        if isinstance(mode, EpsilonNet):
-            eps = mode.epsilon
-            if eps is None:
-                eps = default_epsilon(mode.lipschitz_product, mode.dim, mode.horizon)
-            self.epsilon = eps
-        else:
-            self.epsilon = None
 
     def _fresh_state(self):
         if self.expert_rule == ADA_NORMAL_HEDGE:
@@ -172,27 +140,9 @@ class ContextRouter:
 
     def route(self, z) -> int:
         """Return the bucket key for context z, creating it if needed."""
-        if not self.use_context:
-            key = 0
-        elif isinstance(self.mode, FiniteContexts):
-            key = int(z)
-            if not 0 <= key < self.mode.num_contexts:
-                raise ValueError(f"context id {key} out of range")
-        else:
-            zv = np.asarray(z, dtype=float).ravel()
-            if zv.shape != (self.mode.dim,):
-                raise ValueError("context dimension mismatch")
-            if np.any(zv < 0.0) or np.any(zv > 1.0):
-                raise ValueError("epsilon-net contexts must lie in [0,1]^d")
-            if self.centers:
-                dists = [float(np.abs(zv - c).sum()) for c in self.centers]
-                key = int(np.argmin(dists))
-                if dists[key] > self.epsilon:
-                    self.centers.append(zv)
-                    key = len(self.centers) - 1
-            else:
-                self.centers.append(zv)
-                key = 0
+        key = int(z) if self.use_context else 0
+        if not 0 <= key < self.num_contexts:
+            raise ValueError(f"context id {key} out of range")
         if key not in self.states:
             self.states[key] = self._fresh_state()
         return key
@@ -227,7 +177,7 @@ class Player:
         else:
             self.constraint_gps = []
         self.router = ContextRouter(
-            config.context_mode, config.num_actions, config.expert_rule,
+            config.num_contexts, config.num_actions, config.expert_rule,
             config.uses_context,
         )
 
@@ -254,7 +204,7 @@ class Player:
         cfg = self.config
         i = cfg.player_index
         opp = np.asarray(opponents, dtype=float)
-        zv = np.atleast_1d(np.asarray(z, dtype=float)) if cfg.uses_context else []
+        zv = [float(z)] if cfg.uses_context else []
         # the own action goes in slot i of the joint action
         row = np.concatenate([opp[:i], [0.0], opp[i:], zv])
         rows = np.tile(row, (cfg.num_actions, 1))

@@ -66,8 +66,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("z", [-1, 2])
     def test_out_of_range_context_exit_codes(self, tmp_path, capsys, z):
-        # a generated game knows Z at parse time (exit 1); a game file is
-        # checked when the seed runs (exit 2, the context named)
+        # a generated game knows Z at parse time, a game file is read
+        # before any seed runs: both are config errors (exit 1)
         schedule = {"mode": "fixed_sequence", "contexts": [0, 1, z] * 5}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_doc(context_schedule=schedule)))
@@ -84,10 +84,9 @@ class TestRunCommand:
         path.write_text(json.dumps(config_doc(
             seeds=[0], game={"path": str(game_path)}, context_schedule=schedule,
         )))
-        assert main(["run", str(path), "--out", str(out)]) == 2
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["statuses"] == {"0": "error"}
-        assert f"context {z} at round 3" in summary["errors"]["0"]
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert f"context {z} is outside [0, 2)" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -107,6 +106,59 @@ class TestRunCommand:
         assert f".players[0].{key}" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d: d["game"]["generate"].update(K="3"), ".game.generate.K"),
+        (lambda d: d["players"][0].update(delta="abc"), ".players[0].delta"),
+        (lambda d: d["players"].__setitem__(1, 5), ".players[1]"),
+        (lambda d: d.update(context_schedule={
+            "mode": "fixed_sequence", "contexts": ["a"]}),
+         ".context_schedule.contexts[0]"),
+        (lambda d: d.update(T=True), ".T"),
+    ], ids=["string-K", "string-delta", "int-player", "string-context", "bool-T"])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, edit, where):
+        doc = config_doc(seeds=[0])
+        edit(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {where}: ")
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        ('{"num_players": 2}', "missing key 'num_actions'"),
+    ], ids=["missing", "not-json", "missing-key"])
+    def test_bad_game_file_is_config_error(self, tmp_path, capsys, text, message):
+        game_path = tmp_path / "game.json"
+        if text is not None:
+            game_path.write_text(text)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_doc(game={"path": str(game_path)})))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: .game.path: ") and message in err
+        assert not (out / "summary.json").exists()
+
+    def test_game_file_player_count_checked(self, tmp_path, capsys):
+        config = parse_config(json.dumps(config_doc()))
+        from congames.cli import _load_game
+
+        game_path = tmp_path / "game.json"
+        game_path.write_text(_load_game(config, 0).to_json())  # N=2
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_doc(
+            game={"path": str(game_path)}, players=[{"algorithm": "random"}] * 3,
+        )))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "config error: .players: player count must match the game" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "summary.json").exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 
@@ -115,6 +167,13 @@ class TestRunCommand:
         main(["run", str(config_path), "--out", str(out), "--seed-override", "7"])
         assert (out / "rounds_seed7.csv").exists()
         assert not (out / "rounds_seed0.csv").exists()
+
+    def test_negative_seed_override_is_config_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out),
+                     "--seed-override", "-1"]) == 1
+        assert "config error: --seed-override: " in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_parallel_matches_serial(self, config_path, tmp_path):
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
@@ -204,8 +263,9 @@ class TestRunCommand:
         )
         assert (tmp_path / "rounds_seed0.csv").read_bytes() == expected.encode()
 
-    def test_malformed_game_file_names_player_and_shape(self, tmp_path):
-        # the error names the table whichever actions the rounds play
+    def test_malformed_game_file_names_player_and_shape(self, tmp_path, capsys):
+        # the file is validated once, before any seed runs, and the error
+        # names the table whichever actions the rounds would play
         config = parse_config(json.dumps(config_doc()))
         from congames.cli import _load_game
 
@@ -219,13 +279,11 @@ class TestRunCommand:
             players=[{"algorithm": "random"}] * 2,
         )))
         out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == 2
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["statuses"] == {"0": "error"}
+        assert main(["run", str(path), "--out", str(out)]) == 1
         assert (
-            "ValueError: player 0: reward table has shape (3, 2, 2), "
-            "expected (3, 3, 2)"
-        ) in summary["errors"]["0"]
+            "player 0: reward table has shape (3, 2, 2), expected (3, 3, 2)"
+        ) in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_factorization_error_is_a_run_status(self, monkeypatch, tmp_path):
         real = GpModel.add_observation

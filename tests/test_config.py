@@ -130,6 +130,39 @@ class TestErrors:
             parse_config(base_config(players=[{"algorithm": "cz_ada_normal_gp",
                                                key: value}, {}]))
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_players", 1), ("num_players", 2.5), ("num_contexts", True),
+        ("K", "3"), ("num_constraints", -1), ("num_gp_samples", 0),
+        ("points_per_sample", 0), ("obs_noise", 0), ("obs_noise", "0.1"),
+        ("noise_scale", -1), ("feasible_quantile", 2),
+        ("feasible_quantile", -0.5),
+    ])
+    def test_bad_generator_value(self, key, value):
+        with pytest.raises(ConfigError, match=rf"\.game\.generate\.{key}: "):
+            parse_config(json.dumps({"game": {"generate": {key: value}}, "T": 5}))
+
+    @pytest.mark.parametrize("overrides, where", [
+        ({"seeds": [-1]}, r"\.seeds\[0\]"),
+        ({"seeds": [0, True]}, r"\.seeds\[1\]"),
+        ({"game": {"path": 5}}, r"\.game\.path"),
+        ({"context_schedule": {"mode": "fixed_sequence", "contexts": "01"}},
+         r"\.context_schedule\.contexts"),
+        ({"context_schedule": {"mode": "fixed_sequence", "contexts": [0, 1.0]}},
+         r"\.context_schedule\.contexts\[1\]"),
+        ({"output_dir": 5}, r"\.output_dir"),
+        ({"bound_checks": "no"}, r"\.bound_checks"),
+    ])
+    def test_wrong_top_level_value(self, overrides, where):
+        with pytest.raises(ConfigError, match=rf"^{where}: "):
+            parse_config(base_config(**overrides))
+
+    def test_expert_rule_is_not_a_key(self):
+        # the algorithm fixes the expert rule
+        with pytest.raises(ConfigError, match=r"\.players\[0\]\.expert_rule: unknown key"):
+            parse_config(base_config(players=[
+                {"algorithm": "cz_ada_normal_gp", "expert_rule": "reduced_hedge"}, {},
+            ]))
+
     def test_zero_beta_scale_accepted(self):
         config = parse_config(base_config(players=[{"beta_scale": 0}, {}]))
         assert config.players[0].beta_scale == 0.0

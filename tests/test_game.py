@@ -19,7 +19,6 @@ from congames.gp import ConfidenceParams
 from congames.kernels import Product, SquaredExponential, cross
 from congames.strategy import (
     CZ_ADA_NORMAL_GP,
-    FiniteContexts,
     InfeasibilityDeclared,
     Player,
     PlayerConfig,
@@ -51,7 +50,6 @@ def random_players(game, seed=0):
     return [
         Player(
             PlayerConfig(
-                num_players=game.num_players,
                 player_index=i,
                 num_actions=game.num_actions,
                 algorithm=RANDOM,
@@ -142,11 +140,6 @@ class TestGameDefinition:
         game.constraint_noise = noise
         again = GameDefinition.from_json(game.to_json())
         assert again.num_constraints == len(noise[0])
-
-    def test_context_embedding_default(self):
-        game = tiny_game()
-        np.testing.assert_allclose(game.context_embedding(0), [0.25])
-        np.testing.assert_allclose(game.context_embedding(1), [0.75])
 
 
 # every (N, K, Z) of these up to about 60k grid rows
@@ -322,7 +315,6 @@ class TestRun:
         )
         learner = Player(
             PlayerConfig(
-                num_players=2,
                 player_index=0,
                 num_actions=2,
                 algorithm=CZ_ADA_NORMAL_GP,
@@ -335,7 +327,7 @@ class TestRun:
                 constraint_kernels=[SquaredExponential(lengthscale=0.5)],
                 reward_confidence=confidence,
                 constraint_confidences=[confidence],
-                context_mode=FiniteContexts(2),
+                num_contexts=2,
                 noise_variance=0.09,
                 beta_scale=0.05,
                 seed=0,

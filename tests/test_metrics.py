@@ -314,7 +314,7 @@ class TestEmpiricalPolicyAndCce:
             players = [
                 Player(
                     PlayerConfig(
-                        num_players=2, player_index=i, num_actions=3,
+                        player_index=i, num_actions=3,
                         algorithm=RANDOM, seed=seed * 10 + i,
                     )
                 )
@@ -398,7 +398,7 @@ class TestReport:
         players = [
             Player(
                 PlayerConfig(
-                    num_players=2, player_index=i, num_actions=3,
+                    player_index=i, num_actions=3,
                     algorithm=RANDOM, seed=i,
                 )
             )

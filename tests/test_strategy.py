@@ -15,12 +15,9 @@ from congames.strategy import (
     REDUCED_HEDGE,
     Z_GPMW,
     ContextRouter,
-    EpsilonNet,
-    FiniteContexts,
     InfeasibilityDeclared,
     Player,
     PlayerConfig,
-    default_epsilon,
     renormalize,
 )
 
@@ -40,7 +37,6 @@ def make_config(algorithm=CZ_ADA_NORMAL_GP, num_constraints=1, **kw):
     if algorithm in (C_ADA_NORMAL_GP, GPMW):
         reward_kernel = SquaredExponential(lengthscale=2.0)
     defaults = dict(
-        num_players=2,
         player_index=0,
         num_actions=3,
         algorithm=algorithm,
@@ -49,7 +45,7 @@ def make_config(algorithm=CZ_ADA_NORMAL_GP, num_constraints=1, **kw):
         constraint_kernels=[SE1] * num_constraints,
         reward_confidence=confidence(num_constraints),
         constraint_confidences=[confidence(num_constraints)] * num_constraints,
-        context_mode=FiniteContexts(4),
+        num_contexts=4,
         seed=0,
     )
     defaults.update(kw)
@@ -61,17 +57,6 @@ def make_config(algorithm=CZ_ADA_NORMAL_GP, num_constraints=1, **kw):
 
 
 class TestHelpers:
-    def test_default_epsilon_hand_value(self):
-        assert default_epsilon(1.0, 2, 16) == pytest.approx(0.5, rel=1e-12)
-        assert default_epsilon(1.0, 3, 1) == pytest.approx(1.0)
-
-    def test_default_epsilon_decreasing_in_horizon(self):
-        assert default_epsilon(1.0, 2, 100) < default_epsilon(1.0, 2, 10)
-
-    def test_default_epsilon_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            default_epsilon(0.0, 2, 16)
-
     def test_renormalize_restricts_and_scales(self):
         p = np.array([0.2, 0.3, 0.5])
         mask = np.array([True, False, True])
@@ -94,11 +79,20 @@ class TestPlayerConfig:
 
     def test_requires_reward_model(self):
         with pytest.raises(ValueError):
-            PlayerConfig(num_players=2, player_index=0, num_actions=3)
+            PlayerConfig(player_index=0, num_actions=3)
 
     def test_expert_rule_defaults(self):
+        # the algorithm fixes the rule; it is not a setting
         assert make_config(CZ_ADA_NORMAL_GP).expert_rule == ADA_NORMAL_HEDGE
+        assert make_config(C_ADA_NORMAL_GP).expert_rule == ADA_NORMAL_HEDGE
         assert make_config(Z_GPMW).expert_rule == REDUCED_HEDGE
+        assert make_config(GPMW).expert_rule == REDUCED_HEDGE
+        assert PlayerConfig(player_index=0, num_actions=3,
+                            algorithm=RANDOM).expert_rule is None
+        with pytest.raises(TypeError):
+            make_config(expert_rule=REDUCED_HEDGE)
+        with pytest.raises(AttributeError):
+            make_config().expert_rule = REDUCED_HEDGE
 
     def test_constraint_shape_validation(self):
         with pytest.raises(ValueError):
@@ -117,56 +111,27 @@ class TestPlayerConfig:
 
 class TestContextRouter:
     def test_finite_contexts_keyed_by_id(self):
-        router = ContextRouter(FiniteContexts(3), 2, ADA_NORMAL_HEDGE, True)
+        router = ContextRouter(3, 2, ADA_NORMAL_HEDGE, True)
         assert router.route(0) == 0
         assert router.route(2) == 2
         assert router.route(0) == 0
         assert set(router.states) == {0, 2}
 
     def test_finite_context_range_checked(self):
-        router = ContextRouter(FiniteContexts(3), 2, ADA_NORMAL_HEDGE, True)
-        with pytest.raises(ValueError):
-            router.route(3)
+        router = ContextRouter(3, 2, ADA_NORMAL_HEDGE, True)
+        for z in (3, -1):
+            with pytest.raises(ValueError):
+                router.route(z)
 
     def test_context_free_single_bucket(self):
-        router = ContextRouter(FiniteContexts(3), 2, ADA_NORMAL_HEDGE, False)
+        router = ContextRouter(3, 2, ADA_NORMAL_HEDGE, False)
         assert router.route(0) == router.route(2) == 0
-
-    def test_epsilon_net_covering(self):
-        mode = EpsilonNet(dim=1, epsilon=0.3)
-        router = ContextRouter(mode, 2, ADA_NORMAL_HEDGE, True)
-        assert router.route([0.0]) == 0
-        assert router.route([0.2]) == 0       # inside the first ball
-        assert router.route([0.5]) == 1       # new center
-        assert router.route([0.45]) == 1
-
-    def test_epsilon_net_tie_breaks_to_earlier_center(self):
-        mode = EpsilonNet(dim=1, epsilon=0.4)
-        router = ContextRouter(mode, 2, ADA_NORMAL_HEDGE, True)
-        router.route([0.0])
-        router.route([0.8])
-        assert router.route([0.4]) == 0       # equidistant, earlier wins
-
-    def test_epsilon_net_rejects_out_of_box(self):
-        router = ContextRouter(EpsilonNet(dim=1, epsilon=0.3), 2, ADA_NORMAL_HEDGE, True)
-        with pytest.raises(ValueError):
-            router.route([1.5])
-
-    def test_epsilon_net_default_radius(self):
-        router = ContextRouter(
-            EpsilonNet(dim=2, lipschitz_product=1.0, horizon=16),
-            2,
-            ADA_NORMAL_HEDGE,
-            True,
-        )
-        assert router.epsilon == pytest.approx(0.5)
 
 
 class TestPlayer:
     def test_random_player_uniform_and_stateless(self):
         player = Player(
-            PlayerConfig(num_players=2, player_index=0, num_actions=4,
-                         algorithm=RANDOM, seed=3)
+            PlayerConfig(player_index=0, num_actions=4, algorithm=RANDOM, seed=3)
         )
         actions = [player.select_action(0) for _ in range(200)]
         assert set(actions) == {0, 1, 2, 3}
@@ -220,7 +185,7 @@ class TestPlayer:
     def test_reward_inputs_layout(self, index, algorithm):
         # 3 players: the own action takes slot `index` of the joint action,
         # the opponents keep their order, and the context comes last
-        player = Player(make_config(algorithm, num_players=3, player_index=index))
+        player = Player(make_config(algorithm, player_index=index))
         rows = player._reward_inputs((5, 6), 2)
         for a in range(3):
             joint = [5.0, 6.0]
