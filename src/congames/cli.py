@@ -17,9 +17,13 @@ import argparse
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 import sys
 import traceback
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,24 +51,110 @@ _SEED_STRIDE = 1_000_003
 _CSV_BLOCK_ROWS = 4096
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
+# the thread variables of OpenBLAS, OpenMP and MKL, read once, when BLAS loads
+BLAS_THREADS = {
+    "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+}
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
+@contextmanager
+def worker_pool(max_workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A process pool whose workers run BLAS on one thread each.
+
+    Workers are spawned, not forked, so each loads BLAS afresh with
+    :data:`BLAS_THREADS` in its environment: a forked worker inherits the
+    BLAS its parent already started, which no variable pins any more, and
+    workers that each run a multithreaded BLAS on a few cores make their
+    small solves contend.  The pool starts workers as jobs arrive, so the
+    variables are set in this process for as long as the pool lives and
+    restored when it closes.
+    """
+    saved = {name: os.environ.get(name) for name in BLAS_THREADS}
+    os.environ.update(BLAS_THREADS)
+    try:
+        with ProcessPoolExecutor(
+            max_workers=max_workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _float_items(values: list, newline: str) -> str:
+    """The items of a JSON array of floats, each rounded to 12 significant
+    digits as ``float(format(x, ".12g"))`` rounds it: one ``%`` formats
+    them all, one numpy call parses them back, and the C encoder writes
+    them."""
+    text = ("%.12g," * len(values))[:-1] % tuple(values)
+    rounded = np.fromstring(text, sep=",").tolist()
+    return json.dumps(rounded)[1:-1].replace(", ", "," + newline)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or the quoted JSON text
+    of a number, bool or None."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                "keys must be str, int, float, bool or None, "
+                f"not {type(key).__name__}"
+            )
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _encode(obj, newline: str, out: list[str]) -> None:
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round12(float(v)) for v in obj.ravel()]
-    if isinstance(obj, (np.floating,)):
-        return float(_fmt(float(obj)))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _json_key(key) + ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = obj.ravel().astype(float).tolist() if isinstance(obj, np.ndarray) else obj
+        if not items:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(isinstance(v, float) for v in items):
+            out.append("[" + inner + _float_items(items, inner) + newline + "]")
+            return
+        sep = "[" + inner
+        for value in items:
+            out.append(sep)
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, (float, np.floating)):
+        out.append(json.dumps(float(format(float(obj), ".12g"))))
+    elif isinstance(obj, np.integer):
+        out.append(json.dumps(int(obj)))
+    else:
+        out.append(json.dumps(obj))
+
+
+def json_text(obj) -> str:
+    """``obj`` as the indented, key-sorted JSON text of ``summary.json``.
+
+    Floats, numpy ones included, are rounded to 12 significant digits,
+    numpy arrays are written as flat lists of floats, tuples as lists and
+    numpy integers as ints.  The text is byte for byte what CPython's
+    ``json.dumps(obj, indent=2, sort_keys=True)`` writes for the rounded
+    object, but an indent turns off the C encoder, so here each list of
+    floats is rounded and encoded in one piece and indented by a join.
+    """
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    return "".join(out)
 
 
 def build_player(
@@ -134,9 +224,18 @@ def _load_game(config: ExperimentConfig, seed: int) -> game_mod.GameDefinition:
     return game_mod.GameDefinition.from_json(Path(config.game.path).read_text())
 
 
-def run_seed(config: ExperimentConfig, seed: int) -> dict:
-    """Run one seed end to end and return plain-data results."""
-    game = _load_game(config, seed)
+def run_seed(
+    config: ExperimentConfig,
+    seed: int,
+    game: game_mod.GameDefinition | None = None,
+) -> dict:
+    """Run one seed end to end and return plain-data results.
+
+    ``game`` is the seed's game when the caller has built it already;
+    without it the seed loads or generates its own.
+    """
+    if game is None:
+        game = _load_game(config, seed)
     base = _SEED_STRIDE * seed
     if config.schedule.mode == "fixed_sequence":
         contexts = game_mod.fixed_schedule(config.schedule.contexts, config.T)
@@ -217,8 +316,8 @@ def _csv_header(num_players: int, num_constraints: int) -> list[str]:
 
 
 def _write_seed_csv(out_dir: Path, result: dict) -> None:
-    # integers for t, z and the actions, 12 significant digits (as _fmt)
-    # for the rest, and csv.writer's line ending; one % per block of rows
+    # integers for t, z and the actions, 12 significant digits for the
+    # rest, and csv.writer's line ending; one % per block of rows
     header = _csv_header(result["num_players"], result["num_constraints"])
     labels = 2 + result["num_players"]
     line = ",".join(["%d"] * labels + ["%.12g"] * (len(header) - labels)) + "\r\n"
@@ -249,24 +348,44 @@ def _aggregate(results: list[dict], T: int) -> dict:
     return agg
 
 
-def run_experiment(config: ExperimentConfig, out_dir: Path, parallel: int = 1) -> int:
-    """Run all seeds, write outputs, and return the process exit code."""
+def run_experiment(
+    config: ExperimentConfig,
+    out_dir: Path,
+    parallel: int = 1,
+    game: game_mod.GameDefinition | None = None,
+) -> int:
+    """Run all seeds, write outputs, and return the process exit code.
+
+    ``game``, the config's game file loaded once, is played by every seed.
+    With ``parallel > 1`` the seeds run in a :func:`worker_pool`, each on
+    a game built in this process.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = config.seeds
     results: list[dict] = []
     failures: dict[int, str] = {}
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = {s: pool.submit(run_seed, config, s) for s in seeds}
+        with worker_pool(parallel) as pool:
+            futures = {}
             for s in seeds:
+                # games are built here, not in the workers: the generator's
+                # LU solve rounds differently under another BLAS thread
+                # count, and the output must not depend on --parallel
                 try:
-                    results.append(futures[s].result())
+                    seed_game = game if game is not None else _load_game(config, s)
+                except Exception:
+                    failures[s] = traceback.format_exc()
+                    continue
+                futures[s] = pool.submit(run_seed, config, s, seed_game)
+            for s, future in futures.items():
+                try:
+                    results.append(future.result())
                 except Exception:
                     failures[s] = traceback.format_exc()
     else:
         for s in seeds:
             try:
-                results.append(run_seed(config, s))
+                results.append(run_seed(config, s, game))
             except Exception:
                 failures[s] = traceback.format_exc()
 
@@ -294,9 +413,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path, parallel: int = 1) -
         },
         "aggregate": _aggregate(results, config.T),
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(_round12(summary), indent=2, sort_keys=True)
-    )
+    (out_dir / "summary.json").write_text(json_text(summary))
     return 2 if failures else 0
 
 
@@ -309,8 +426,9 @@ def _metadata_stamp(config_text: str, config: ExperimentConfig) -> dict:
     }
 
 
-def _check_game_file(config: ExperimentConfig) -> None:
-    """Read and validate the config's game file once, before any seed runs."""
+def _check_game_file(config: ExperimentConfig) -> game_mod.GameDefinition:
+    """Read and validate the config's game file once, before any seed
+    runs, and return the game every seed plays."""
     path = config.game.path
     try:
         game = game_mod.GameDefinition.from_json(Path(path).read_text())
@@ -319,14 +437,16 @@ def _check_game_file(config: ExperimentConfig) -> None:
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(".game.path", f"{path}: {exc}") from exc
     check_game_shape(config, game.num_players, game.num_contexts)
+    return game
 
 
 def cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text()
         config = parse_config(text)
+        game = None
         if config.game.path is not None:
-            _check_game_file(config)
+            game = _check_game_file(config)
         if args.seed_override is not None:
             if args.seed_override < 0:
                 raise ConfigError("--seed-override", "must be at least 0")
@@ -339,7 +459,7 @@ def cmd_run(args) -> int:
     (out_dir / "metadata.json").write_text(
         json.dumps(_metadata_stamp(text, config), indent=2, sort_keys=True)
     )
-    return run_experiment(config, out_dir, parallel=args.parallel)
+    return run_experiment(config, out_dir, parallel=args.parallel, game=game)
 
 
 def cmd_generate_game(args) -> int:
@@ -395,7 +515,7 @@ def cmd_report(args) -> int:
             k: float(np.std([f[k] for f in finals])) for k in keys
         },
     }
-    text = json.dumps(_round12(report), indent=2, sort_keys=True)
+    text = json_text(report)
     (out_dir / "report.json").write_text(text)
     print(text)
     return 0

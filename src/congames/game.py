@@ -4,10 +4,11 @@ The engine is the only owner of true reward/constraint values; players
 receive nothing beyond the context and the noisy bandit feedback tuple
 (own noisy reward, own noisy constraint values, opponents' actions),
 enforced by the call signatures of ``Player.select_action``, which opens a
-round, and ``Player.observe_feedback``, which closes it.  A played game
-is a columnar ``Trajectory`` of contexts, joint actions and noisy
-feedback; true values are not stored, since the game tables give them
-back with one gather.
+round, and ``Player.observe_feedback``, which closes it.  A run draws all
+of its noise in one call before the first round, and only players that
+learn are sent feedback.  A played game is a columnar ``Trajectory`` of
+contexts, joint actions and noisy feedback; true values are not stored,
+since the game tables give them back with one gather.
 """
 
 from __future__ import annotations
@@ -367,6 +368,16 @@ def run(
 ) -> Trajectory:
     """Simulate the repeated game round by round.
 
+    All of a run's noise is drawn before the first round, in one
+    ``standard_normal((T, N + N*M))`` call: row t holds round t's N reward
+    draws, then each player's M constraint draws in player order, the
+    order in which a per-round draw would take them from the stream.
+    Each round every player selects an action; only players that learn
+    (``Player.learns``) are sent their noisy feedback, gathered from the
+    true tables for them alone.  The trajectory's noisy rewards and
+    constraints are built once, from one gather of the tables over the
+    played rounds, so they equal what the learners were fed.
+
     Halts early, with the status, player and round recorded, if a player
     declares infeasibility (``infeasibility_declared``) or a player's GP
     factor breaks down on its feedback (``factorization_error``); the
@@ -384,26 +395,34 @@ def run(
             f"[0, {game.num_contexts})"
         )
     T = len(contexts)
-    actions = np.zeros((T, N), dtype=np.int64)
-    noisy_rewards = np.zeros((T, N))
-    noisy_constraints = np.zeros((T, N, M))
+    joints: list[tuple] = []
     reward_sigma = np.asarray(game.reward_noise, dtype=float)
     constraint_sigma = np.array(
         [row[:M] for row in game.constraint_noise], dtype=float
     ).reshape(N, M)
+    noise = np.random.default_rng(noise_seed).standard_normal((T, N + N * M))
+    reward_noise = reward_sigma * noise[:, :N]
+    constraint_noise = constraint_sigma * noise[:, N:].reshape(T, N, M)
     grids = [game.constraint_grid(i) for i in range(N)]
-    rng = np.random.default_rng(noise_seed)
+    learners = [(i, p) for i, p in enumerate(players) if p.learns]
 
     def played(rounds: int, **status) -> Trajectory:
+        zs = contexts[:rounds]
+        actions = np.array(joints[:rounds], dtype=np.int64).reshape(rounds, N)
+        true_rewards = np.stack(
+            [game.rewards[i][(*actions.T, zs)] for i in range(N)], axis=1
+        )
+        true_constraints = np.stack(
+            [grids[i][:, actions[:, i], zs].T for i in range(N)], axis=1
+        )
         return Trajectory(
-            contexts[:rounds], actions[:rounds], noisy_rewards[:rounds],
-            noisy_constraints[:rounds], **status,
+            zs, actions, true_rewards + reward_noise[:rounds],
+            true_constraints + constraint_noise[:rounds], **status,
         )
 
-    for t in range(T):
-        z = int(contexts[t])
+    for t, z in enumerate(contexts.tolist()):
         try:
-            joint = tuple(p.select_action(z) for p in players)
+            joint = tuple([p.select_action(z) for p in players])
         except InfeasibilityDeclared as declared:
             return played(
                 t,
@@ -411,17 +430,14 @@ def run(
                 infeasible_player=declared.player_index,
                 infeasible_round=t + 1,
             )
-        true_rewards = np.array([game.rewards[i][joint + (z,)] for i in range(N)])
-        true_constraints = np.array(
-            [grids[i][:, joint[i], z] for i in range(N)]
-        ).reshape(N, M)
-        # all reward draws first, then each player's constraint draws
-        rewards = true_rewards + reward_sigma * rng.standard_normal(N)
-        constraints = true_constraints + constraint_sigma * rng.standard_normal((N, M))
-        for i, player in enumerate(players):
+        joints.append(joint)
+        for i, player in learners:
+            a = joint[i]
             try:
                 player.observe_feedback(
-                    joint[i], joint[:i] + joint[i + 1:], rewards[i], constraints[i]
+                    a, joint[:i] + joint[i + 1:],
+                    game.rewards[i][joint + (z,)] + reward_noise[t, i],
+                    grids[i][:, a, z] + constraint_noise[t, i],
                 )
             except FactorizationError:
                 return played(
@@ -430,7 +446,4 @@ def run(
                     failed_player=i,
                     failed_round=t + 1,
                 )
-        actions[t] = joint
-        noisy_rewards[t] = rewards
-        noisy_constraints[t] = constraints
     return played(T)

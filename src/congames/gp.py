@@ -194,9 +194,9 @@ class GpModel:
         if rho[-1] <= 0.0:
             raise FactorizationError("Cholesky downdate of a repeated input broke down")
         d = np.sqrt(rho[1:] / rho[:-1])
-        S = np.zeros_like(B)
-        np.cumsum(q[:-1, None] * B[:-1], axis=0, out=S[1:])
-        B += (q / rho[:-1])[:, None] * S
+        # the prefix sums S_k of rows k >= 1; row 0's is empty, so it only scales
+        S = np.cumsum(q[:-1, None] * B[:-1], axis=0)
+        B[1:] += (q[1:] / rho[1:-1])[:, None] * S
         B /= d[:, None]
         self._counts[j] = n + 1.0
         self._sums[j] += y

@@ -181,6 +181,12 @@ class Player:
             config.uses_context,
         )
 
+    @property
+    def learns(self) -> bool:
+        """Whether the player uses its feedback; the random baseline does
+        not, so the engine sends it none."""
+        return self.config.algorithm != RANDOM
+
     # -- per-function confidence widths ------------------------------------
 
     def reward_beta(self) -> float:
@@ -252,7 +258,7 @@ class Player:
         """Close the round :meth:`select_action` opened with the player's
         own noisy feedback; raises ``RuntimeError`` when none is open."""
         cfg = self.config
-        if cfg.algorithm == RANDOM:
+        if not self.learns:
             return
         if self.round is None:
             raise RuntimeError("observe_feedback without an open round")

@@ -22,14 +22,13 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from congames import game as gm
 from congames import metrics as mt
-from congames.cli import build_player, main
+from congames.cli import build_player, main, worker_pool
 from congames.config import PlayerBlock
 from congames.experts import SleepingExpertState, ada_predict, ada_update
 from congames.gp import GpModel
@@ -131,7 +130,7 @@ def _run_one(args):
 def reproduction():
     jobs = [(seed, alg) for alg in ALGORITHMS for seed in range(NUM_SEEDS)]
     workers = min(os.cpu_count() or 1, 10)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with worker_pool(workers) as pool:
         results = list(pool.map(_run_one, jobs))
     grouped = {alg: [] for alg in ALGORITHMS}
     for r in results:

@@ -1,11 +1,22 @@
 """CLI harness tests: subcommands, exit codes, and output determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from congames.cli import _write_seed_csv, main, run_seed
+from congames.cli import (
+    BLAS_THREADS,
+    _write_seed_csv,
+    json_text,
+    main,
+    run_seed,
+    worker_pool,
+)
 from congames.config import parse_config
 from congames.game import GameDefinition
 from congames.gp import FactorizationError, GpModel
@@ -182,6 +193,53 @@ class TestRunCommand:
         assert (out1 / "summary.json").read_bytes() == (
             out2 / "summary.json"
         ).read_bytes()
+
+    def test_game_file_parsed_once_for_all_seeds(self, monkeypatch, tmp_path):
+        config = parse_config(json.dumps(config_doc()))
+        from congames.cli import _load_game
+
+        game_path = tmp_path / "game.json"
+        game_path.write_text(_load_game(config, 0).to_json())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_doc(game={"path": str(game_path)})))
+        real = GameDefinition.from_json.__func__
+        parsed = []
+
+        def counting(cls, text):
+            parsed.append(text)
+            return real(cls, text)
+
+        monkeypatch.setattr(GameDefinition, "from_json", classmethod(counting))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert len(parsed) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["statuses"] == {"0": "completed", "1": "completed"}
+
+        # the pool's workers play the same loaded game
+        assert main(["run", str(path), "--out", str(tmp_path / "par"),
+                     "--parallel", "2"]) == 0
+        assert len(parsed) == 2
+        assert (tmp_path / "par" / "summary.json").read_bytes() == (
+            out / "summary.json"
+        ).read_bytes()
+
+        # run_seed called on its own still loads the file itself
+        _write_seed_csv(tmp_path, run_seed(parse_config(path.read_text()), 1))
+        assert len(parsed) == 3
+        assert (tmp_path / "rounds_seed1.csv").read_bytes() == (
+            out / "rounds_seed1.csv"
+        ).read_bytes()
+
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        with worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, BLAS_THREADS))
+        assert seen == ["1"] * len(BLAS_THREADS)
+        # this process's environment is restored when the pool closes
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "MKL_NUM_THREADS" not in os.environ
 
     def test_seed_failure_isolated(self, tmp_path):
         # a game file with no feasible action breaks metric computation for
@@ -372,3 +430,67 @@ class TestRunSeedInternals:
         result = run_seed(config, 0)
         assert len(result["regret"][0]) == config.T
         assert len(result["violations"][0][0]) == config.T
+
+
+def round12_reference(obj):
+    """The rounding ``json_text`` folds in, one value at a time."""
+    if isinstance(obj, float):
+        return float(format(float(obj), ".12g"))
+    if isinstance(obj, dict):
+        return {k: round12_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round12_reference(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [round12_reference(float(v)) for v in obj.ravel()]
+    if isinstance(obj, np.floating):
+        return float(format(float(obj), ".12g"))
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 999999999999.5, 9.99999999999995, 1e16,
+               float("nan"), float("inf"), -float("inf")]
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
+SCALARS = (
+    FLOATS
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f",
+                       "caf\u00e9", "\u2028", "\U0001f600", "\ud800"])
+    | FLOATS.map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+)
+ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+)
+DOCUMENTS = st.recursive(
+    SCALARS | ARRAYS | st.lists(FLOATS) | st.lists(FLOATS).map(tuple),
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=5)
+        | st.dictionaries(st.integers(), inner, max_size=3)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(DOCUMENTS)
+    def test_matches_indented_json_of_rounded_values(self, obj):
+        assert json_text(obj) == json.dumps(
+            round12_reference(obj), indent=2, sort_keys=True
+        )
+
+    def test_edge_floats(self):
+        obj = {"floats": EDGE_FLOATS, "array": np.array(EDGE_FLOATS),
+               "scalars": [np.float64(v) for v in EDGE_FLOATS], "empty": [[], {}]}
+        assert json_text(obj) == json.dumps(
+            round12_reference(obj), indent=2, sort_keys=True
+        )
+        assert '\n    1000000000000.0,\n    10.0,\n    1e+16,' in json_text(obj)

@@ -339,3 +339,156 @@ class TestRun:
         assert traj.status == "infeasibility_declared"
         assert traj.infeasible_player == 0
         assert traj.num_rounds == traj.infeasible_round - 1
+
+
+def reference_run(game, players, context_schedule, noise_seed=0):
+    """The engine as a per-round loop: two noise draws and a gather of
+    the true values per round, feedback to every player, and the noisy
+    arrays filled row by row.  ``run`` must reproduce it exactly."""
+    from congames.gp import FactorizationError
+
+    N, M = game.num_players, game.num_constraints
+    contexts = np.array([int(z) for z in context_schedule], dtype=np.int64)
+    T = len(contexts)
+    actions = np.zeros((T, N), dtype=np.int64)
+    noisy_rewards = np.zeros((T, N))
+    noisy_constraints = np.zeros((T, N, M))
+    reward_sigma = np.asarray(game.reward_noise, dtype=float)
+    constraint_sigma = np.array(
+        [row[:M] for row in game.constraint_noise], dtype=float
+    ).reshape(N, M)
+    grids = [game.constraint_grid(i) for i in range(N)]
+    rng = np.random.default_rng(noise_seed)
+
+    def played(rounds, **status):
+        return Trajectory(
+            contexts[:rounds], actions[:rounds], noisy_rewards[:rounds],
+            noisy_constraints[:rounds], **status,
+        )
+
+    for t in range(T):
+        z = int(contexts[t])
+        try:
+            joint = tuple(p.select_action(z) for p in players)
+        except InfeasibilityDeclared as declared:
+            return played(
+                t, status="infeasibility_declared",
+                infeasible_player=declared.player_index, infeasible_round=t + 1,
+            )
+        true_rewards = np.array([game.rewards[i][joint + (z,)] for i in range(N)])
+        true_constraints = np.array(
+            [grids[i][:, joint[i], z] for i in range(N)]
+        ).reshape(N, M)
+        rewards = true_rewards + reward_sigma * rng.standard_normal(N)
+        constraints = true_constraints + constraint_sigma * rng.standard_normal((N, M))
+        for i, player in enumerate(players):
+            try:
+                player.observe_feedback(
+                    joint[i], joint[:i] + joint[i + 1:], rewards[i], constraints[i]
+                )
+            except FactorizationError:
+                return played(
+                    t, status="factorization_error",
+                    failed_player=i, failed_round=t + 1,
+                )
+        actions[t] = joint
+        noisy_rewards[t] = rewards
+        noisy_constraints[t] = constraints
+    return played(T)
+
+
+STATUS_FIELDS = ("status", "infeasible_player", "infeasible_round",
+                 "failed_player", "failed_round", "num_rounds")
+
+
+class TestRunMatchesReferenceLoop:
+    """``run`` draws its noise in one call, feeds only learners and builds
+    the noisy arrays at the end; the per-round loop is the oracle."""
+
+    @staticmethod
+    def game(layout):
+        game = generate_random_game(
+            4, num_players=3, num_actions=4, num_contexts=3,
+            num_constraints=0 if layout == "empty" else 2, noise_scale=0.3,
+        )
+        if layout == "MKZ":
+            # a context-dependent shift on top of the (M, K) tables
+            shift = 0.1 * np.arange(game.num_contexts)
+            game.constraints = [c[:, :, None] - shift for c in game.constraints]
+            game.validate()
+        return game
+
+    @staticmethod
+    def players(game, algorithms, halt=None, fail=None, fed=None):
+        """Players built as the CLI builds them.  ``halt=(i, r)`` makes
+        player i declare infeasibility in round r, ``fail=(i, r)`` makes
+        its ``observe_feedback`` raise ``FactorizationError`` in round r,
+        and ``fed`` collects every learner's (round, player, reward,
+        constraints) feedback."""
+        from congames.cli import build_player
+        from congames.config import PlayerBlock
+        from congames.gp import FactorizationError
+
+        players = [
+            build_player(PlayerBlock(algorithm=a, beta_scale=0.2), game, i, 10 + i)
+            for i, a in enumerate(algorithms)
+        ]
+        for i, player in enumerate(players):
+            selected = []
+
+            def select(z, i=i, select=player.select_action, selected=selected):
+                selected.append(z)
+                if halt == (i, len(selected)):
+                    raise InfeasibilityDeclared(i, z)
+                return select(z)
+
+            def observe(a, opponents, reward, constraints, i=i,
+                        observe=player.observe_feedback, selected=selected):
+                if fail == (i, len(selected)):
+                    raise FactorizationError("forced")
+                if fed is not None:
+                    fed.append((len(selected), i, reward, np.array(constraints)))
+                observe(a, opponents, reward, constraints)
+
+            player.select_action = select
+            player.observe_feedback = observe
+        return players
+
+    @pytest.mark.parametrize("layout", ["MK", "MKZ", "empty"])
+    @pytest.mark.parametrize("algorithms, halt, fail", [
+        pytest.param(algorithms, halt, None, id=f"{name}-{when}")
+        for name, algorithms in (
+            ("all-random", ["random"] * 3),
+            ("mixed", ["cz_ada_normal_gp", "random", "z_gpmw"]),
+        )
+        for when, halt in (("completed", None), ("halt-round-1", (1, 1)),
+                           ("halt-round-9", (2, 9)))
+    ] + [
+        pytest.param(["cz_ada_normal_gp", "random", "z_gpmw"], None, (0, 7),
+                     id="mixed-factorization-error-round-7"),
+    ])
+    def test_same_trajectory(self, layout, algorithms, halt, fail):
+        game = self.game(layout)
+        schedule = uniform_finite_schedule(game.num_contexts, 30, seed=5)
+        want = reference_run(
+            game, self.players(game, algorithms, halt, fail), schedule, noise_seed=8
+        )
+        fed = []
+        got = run(
+            game, self.players(game, algorithms, halt, fail, fed), schedule,
+            noise_seed=8,
+        )
+        for name in STATUS_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("contexts", "actions", "noisy_rewards", "noisy_constraints"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.noisy_constraints.shape == want.noisy_constraints.shape
+
+        # a learner is fed exactly the trajectory's row of its round
+        learners = {i for i, a in enumerate(algorithms) if a != "random"}
+        assert {i for _, i, _, _ in fed} <= learners
+        assert len(fed) >= len(learners) * got.num_rounds
+        for t, i, reward, constraints in fed:
+            if t <= got.num_rounds:
+                assert reward == got.noisy_rewards[t - 1, i]
+                assert np.array_equal(constraints, got.noisy_constraints[t - 1, i])
