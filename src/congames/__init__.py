@@ -55,6 +55,7 @@ from .strategy import (
     InfeasibilityDeclared,
     Player,
     PlayerConfig,
+    UniformPlayer,
     renormalize,
 )
 
@@ -77,6 +78,7 @@ __all__ = [
     "SleepingExpertState",
     "SquaredExponential",
     "Trajectory",
+    "UniformPlayer",
     "ada_predict",
     "ada_update",
     "best_feasible_policy",

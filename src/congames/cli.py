@@ -45,10 +45,17 @@ from .strategy import (
     USES_CONTEXT,
     Player,
     PlayerConfig,
+    UniformPlayer,
 )
 
 _SEED_STRIDE = 1_000_003
 _CSV_BLOCK_ROWS = 4096
+# who halted a run and in which round, as its trajectory records them
+_HALT_FIELDS = ("infeasible_player", "infeasible_round", "failed_player", "failed_round")
+# a seed's entry in summary.json
+_PER_SEED_FIELDS = (
+    "final_regret", "final_violations", "cce_eps", "bounds", "num_rounds", *_HALT_FIELDS,
+)
 
 
 # the thread variables of OpenBLAS, OpenMP and MKL, read once, when BLAS loads
@@ -86,10 +93,22 @@ def worker_pool(max_workers: int) -> Iterator[ProcessPoolExecutor]:
 
 def _float_items(values: list, newline: str) -> str:
     """The items of a JSON array of floats, each rounded to 12 significant
-    digits as ``float(format(x, ".12g"))`` rounds it: one ``%`` formats
-    them all, one numpy call parses them back, and the C encoder writes
-    them."""
+    digits as ``float(format(x, ".12g"))`` rounds it, written as ``json``
+    writes them.  If all are finite and each nonzero |x| is in [1e-300,
+    1e11), the ``%.12g`` text is the repr of the rounded value once
+    integral tokens (``3``, ``-0``) get their ``.0``: a decimal of at most
+    15 (DBL_DIG) digits parses to a double whose repr has those digits,
+    and both formats take an exponent below 1e-4.  The guard keeps out
+    subnormals (``4.94065645841e-324``, repr ``5e-324``) and values that
+    round to 1e12 (``1e+12``); other lists are parsed back by numpy and
+    written by the C encoder."""
     text = ("%.12g," * len(values))[:-1] % tuple(values)
+    magnitudes = np.abs(np.array(values))
+    if np.all((magnitudes < 1e11) & ((magnitudes >= 1e-300) | (magnitudes == 0.0))):
+        return ("," + newline).join([
+            token if "." in token or "e" in token else token + ".0"
+            for token in text.split(",")
+        ])
     rounded = np.fromstring(text, sep=",").tolist()
     return json.dumps(rounded)[1:-1].replace(", ", "," + newline)
 
@@ -150,7 +169,8 @@ def json_text(obj) -> str:
     numpy integers as ints.  The text is byte for byte what CPython's
     ``json.dumps(obj, indent=2, sort_keys=True)`` writes for the rounded
     object, but an indent turns off the C encoder, so here each list of
-    floats is rounded and encoded in one piece and indented by a join.
+    floats is rounded and written in one piece (:func:`_float_items`) and
+    indented by a join.
     """
     out: list[str] = []
     _encode(obj, "\n", out)
@@ -162,17 +182,11 @@ def build_player(
     game: game_mod.GameDefinition,
     player_index: int,
     seed: int,
-) -> Player:
-    """Instantiate one learner from its config block and the game shape."""
+) -> Player | UniformPlayer:
+    """Instantiate one player from its config block and the game shape:
+    a learner, or the random baseline for ``algorithm: random``."""
     if block.algorithm == RANDOM:
-        return Player(
-            PlayerConfig(
-                player_index=player_index,
-                num_actions=game.num_actions,
-                algorithm=RANDOM,
-                seed=seed,
-            )
-        )
+        return UniformPlayer(game.num_actions, seed)
     reward_kernel = block.reward_kernel
     if reward_kernel is None:
         if USES_CONTEXT[block.algorithm]:
@@ -253,7 +267,7 @@ def run_seed(
     bounds = {}
     if config.bound_checks:
         for i, player in enumerate(players):
-            if player.config.algorithm == RANDOM:
+            if not isinstance(player, Player):
                 continue
             magnitudes = None
             if player.config.expert_rule == ADA_NORMAL_HEDGE:
@@ -288,10 +302,7 @@ def run_seed(
     return {
         "seed": seed,
         "status": trajectory.status,
-        "infeasible_player": trajectory.infeasible_player,
-        "infeasible_round": trajectory.infeasible_round,
-        "failed_player": trajectory.failed_player,
-        "failed_round": trajectory.failed_round,
+        **{name: getattr(trajectory, name) for name in _HALT_FIELDS},
         "num_rounds": trajectory.num_rounds,
         "num_players": game.num_players,
         "num_constraints": game.num_constraints,
@@ -398,17 +409,7 @@ def run_experiment(
         } | {str(s): "error" for s in failures},
         "errors": failures,
         "per_seed": {
-            str(r["seed"]): {
-                "final_regret": r["final_regret"],
-                "final_violations": r["final_violations"],
-                "cce_eps": r["cce_eps"],
-                "bounds": r["bounds"],
-                "num_rounds": r["num_rounds"],
-                "infeasible_player": r["infeasible_player"],
-                "infeasible_round": r["infeasible_round"],
-                "failed_player": r["failed_player"],
-                "failed_round": r["failed_round"],
-            }
+            str(r["seed"]): {name: r[name] for name in _PER_SEED_FIELDS}
             for r in results
         },
         "aggregate": _aggregate(results, config.T),

@@ -29,10 +29,6 @@ class SleepingExpertState:
     def fresh(cls, num_experts: int) -> "SleepingExpertState":
         return cls(np.zeros(num_experts), np.zeros(num_experts))
 
-    @property
-    def num_experts(self) -> int:
-        return len(self.regrets)
-
 
 @dataclass(frozen=True)
 class HedgeState:
@@ -44,10 +40,6 @@ class HedgeState:
     @classmethod
     def fresh(cls, num_experts: int) -> "HedgeState":
         return cls(np.zeros(num_experts), 0)
-
-    @property
-    def num_experts(self) -> int:
-        return len(self.log_weights)
 
 
 def _log_ada_weights(R: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -69,7 +61,7 @@ def ada_predict(state: SleepingExpertState) -> np.ndarray:
     """Distribution proportional to the potential weights; uniform fallback."""
     logw = _log_ada_weights(state.regrets, state.magnitudes)
     if np.all(np.isinf(logw)):
-        return np.full(state.num_experts, 1.0 / state.num_experts)
+        return np.full(len(logw), 1.0 / len(logw))
     m = np.max(logw)
     w = np.exp(logw - m)
     return w / w.sum()
@@ -130,5 +122,5 @@ def hedge_update(state: HedgeState, rewards: np.ndarray) -> HedgeState:
     """Multiplicative update with step size 2*sqrt(log K / t)."""
     rewards = np.asarray(rewards, dtype=float)
     t = state.rounds_seen + 1
-    eta = 2.0 * np.sqrt(np.log(state.num_experts) / t)
+    eta = 2.0 * np.sqrt(np.log(len(state.log_weights)) / t)
     return HedgeState(state.log_weights + eta * rewards, t)

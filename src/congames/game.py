@@ -1,14 +1,15 @@
 """Ground-truth games, the random-game generator, and the round engine.
 
-The engine is the only owner of true reward/constraint values; players
+The engine is the only owner of true reward/constraint values; learners
 receive nothing beyond the context and the noisy bandit feedback tuple
 (own noisy reward, own noisy constraint values, opponents' actions),
 enforced by the call signatures of ``Player.select_action``, which opens a
 round, and ``Player.observe_feedback``, which closes it.  A run draws all
-of its noise in one call before the first round, and only players that
-learn are sent feedback.  A played game is a columnar ``Trajectory`` of
-contexts, joint actions and noisy feedback; true values are not stored,
-since the game tables give them back with one gather.
+of its noise, and each random baseline's (``UniformPlayer``) whole action
+column, before the first round; only learners are asked each round.  A
+played game is a columnar ``Trajectory`` of contexts, joint actions and
+noisy feedback; true values are not stored, since the game tables give
+them back with one gather.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .kernels import (
     kernel_from_config,
     kernel_to_config,
 )
-from .strategy import InfeasibilityDeclared, Player
+from .strategy import InfeasibilityDeclared, Player, UniformPlayer
 
 GENERATOR_SCHEME = "gp-posterior-mean-of-sampled-observations-v1"
 
@@ -362,7 +363,7 @@ def fixed_schedule(contexts, T: int) -> list:
 
 def run(
     game: GameDefinition,
-    players: list[Player],
+    players: list[Player | UniformPlayer],
     context_schedule: list,
     noise_seed: int = 0,
 ) -> Trajectory:
@@ -371,12 +372,13 @@ def run(
     All of a run's noise is drawn before the first round, in one
     ``standard_normal((T, N + N*M))`` call: row t holds round t's N reward
     draws, then each player's M constraint draws in player order, the
-    order in which a per-round draw would take them from the stream.
-    Each round every player selects an action; only players that learn
-    (``Player.learns``) are sent their noisy feedback, gathered from the
-    true tables for them alone.  The trajectory's noisy rewards and
-    constraints are built once, from one gather of the tables over the
-    played rounds, so they equal what the learners were fed.
+    order in which a per-round draw would take them from the stream.  So
+    is each ``UniformPlayer``'s action column.  Each round every learner
+    (``Player``) selects an action, in player order, and is then sent its
+    noisy feedback, gathered for it alone; with no learner there is no
+    round loop.  The trajectory's noisy rewards and constraints come from
+    one gather of the tables over the played rounds, so they equal what
+    the learners were fed.
 
     Halts early, with the status, player and round recorded, if a player
     declares infeasibility (``infeasibility_declared``) or a player's GP
@@ -395,7 +397,11 @@ def run(
             f"[0, {game.num_contexts})"
         )
     T = len(contexts)
-    joints: list[tuple] = []
+    actions = np.zeros((T, N), dtype=np.int64)
+    for i, player in enumerate(players):
+        if isinstance(player, UniformPlayer):
+            actions[:, i] = player.actions(T)
+    learners = [(i, p) for i, p in enumerate(players) if isinstance(p, Player)]
     reward_sigma = np.asarray(game.reward_noise, dtype=float)
     constraint_sigma = np.array(
         [row[:M] for row in game.constraint_noise], dtype=float
@@ -404,25 +410,26 @@ def run(
     reward_noise = reward_sigma * noise[:, :N]
     constraint_noise = constraint_sigma * noise[:, N:].reshape(T, N, M)
     grids = [game.constraint_grid(i) for i in range(N)]
-    learners = [(i, p) for i, p in enumerate(players) if p.learns]
 
     def played(rounds: int, **status) -> Trajectory:
-        zs = contexts[:rounds]
-        actions = np.array(joints[:rounds], dtype=np.int64).reshape(rounds, N)
+        zs, joints = contexts[:rounds], actions[:rounds]
         true_rewards = np.stack(
-            [game.rewards[i][(*actions.T, zs)] for i in range(N)], axis=1
+            [game.rewards[i][(*joints.T, zs)] for i in range(N)], axis=1
         )
         true_constraints = np.stack(
-            [grids[i][:, actions[:, i], zs].T for i in range(N)], axis=1
+            [grids[i][:, joints[:, i], zs].T for i in range(N)], axis=1
         )
         return Trajectory(
-            zs, actions, true_rewards + reward_noise[:rounds],
+            zs, joints, true_rewards + reward_noise[:rounds],
             true_constraints + constraint_noise[:rounds], **status,
         )
 
+    if not learners:
+        return played(T)
     for t, z in enumerate(contexts.tolist()):
         try:
-            joint = tuple([p.select_action(z) for p in players])
+            for i, player in learners:
+                actions[t, i] = player.select_action(z)
         except InfeasibilityDeclared as declared:
             return played(
                 t,
@@ -430,7 +437,7 @@ def run(
                 infeasible_player=declared.player_index,
                 infeasible_round=t + 1,
             )
-        joints.append(joint)
+        joint = tuple(actions[t].tolist())
         for i, player in learners:
             a = joint[i]
             try:

@@ -223,11 +223,6 @@ class GpModel:
                 for a in (self._w, self._counts, self._sums, self._jitter)
             )
 
-    def posterior(self, x) -> tuple[float, float]:
-        """Posterior (mean, std) at a single query point."""
-        means, stds = self.posterior_batch(np.asarray(x, dtype=float)[None, :])
-        return float(means[0]), float(stds[0])
-
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and stds at the rows of X."""
         X = np.asarray(X, dtype=float)

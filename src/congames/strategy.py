@@ -11,8 +11,9 @@ expert state from that same mask and sampling distribution and then the
 GPs from the player's own noisy feedback.
 
 Baselines reuse the same machinery: the multiplicative-weights learners
-skip constraint filtering, non-contextual variants collapse the router to
-a single bucket, and the random baseline plays uniform.
+skip constraint filtering and non-contextual variants collapse the router
+to a single bucket.  The random baseline plays uniform and learns nothing:
+a :class:`UniformPlayer` is a seeded column of actions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ RANDOM = "random"
 
 ALGORITHMS = (CZ_ADA_NORMAL_GP, C_ADA_NORMAL_GP, Z_GPMW, GPMW, RANDOM)
 
-# which code paths each algorithm variant enables
+# which code paths each learning algorithm enables
 USES_CONTEXT = {CZ_ADA_NORMAL_GP: True, C_ADA_NORMAL_GP: False, Z_GPMW: True, GPMW: False}
 USES_CONSTRAINTS = {CZ_ADA_NORMAL_GP: True, C_ADA_NORMAL_GP: True, Z_GPMW: False, GPMW: False}
 EXPERT_RULE = {
@@ -90,13 +91,12 @@ class PlayerConfig:
             raise ValueError("num_actions must be at least 2")
         if self.num_contexts < 1:
             raise ValueError("num_contexts must be at least 1")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm != RANDOM:
-            if self.reward_kernel is None or self.reward_confidence is None:
-                raise ValueError(
-                    f"{self.algorithm} requires a reward kernel and confidence"
-                )
+        if self.algorithm not in EXPERT_RULE:
+            raise ValueError(f"{self.algorithm!r} is not a learning algorithm")
+        if self.reward_kernel is None or self.reward_confidence is None:
+            raise ValueError(
+                f"{self.algorithm} requires a reward kernel and confidence"
+            )
         if self.uses_constraints and self.num_constraints > 0:
             if len(self.constraint_kernels) != self.num_constraints:
                 raise ValueError("one constraint kernel per constraint required")
@@ -104,17 +104,36 @@ class PlayerConfig:
                 raise ValueError("one confidence block per constraint required")
 
     @property
-    def expert_rule(self) -> str | None:
-        """Fixed by the algorithm; None for the random baseline."""
-        return None if self.algorithm == RANDOM else EXPERT_RULE[self.algorithm]
+    def expert_rule(self) -> str:
+        """Fixed by the algorithm."""
+        return EXPERT_RULE[self.algorithm]
 
     @property
     def uses_context(self) -> bool:
-        return self.algorithm != RANDOM and USES_CONTEXT[self.algorithm]
+        return USES_CONTEXT[self.algorithm]
 
     @property
     def uses_constraints(self) -> bool:
-        return self.algorithm != RANDOM and USES_CONSTRAINTS[self.algorithm]
+        return USES_CONSTRAINTS[self.algorithm]
+
+
+class UniformPlayer:
+    """The random baseline: a uniform action each round from its own seeded
+    RNG.  It learns nothing, so the engine asks it once per run for its
+    whole action column.  Like a learner with no model, it has no
+    ``reward_gp`` and no ``clamp_events``."""
+
+    reward_gp = None
+    clamp_events = 0
+
+    def __init__(self, num_actions: int, seed: int = 0):
+        if num_actions < 2:
+            raise ValueError("num_actions must be at least 2")
+        self.num_actions, self.seed = num_actions, seed
+
+    def actions(self, T: int) -> np.ndarray:
+        """Rounds 1..T: the values of T scalar ``integers(num_actions)`` draws."""
+        return np.random.default_rng(self.seed).integers(self.num_actions, size=T)
 
 
 class ContextRouter:
@@ -164,28 +183,13 @@ class Player:
         self.infeasible = False
         # the open round: (z, bucket, p, mask, pbar), or None between rounds
         self.round: tuple | None = None
-        if config.algorithm == RANDOM:
-            self.reward_gp = None
-            self.constraint_gps = []
-            self.router = None
-            return
         self.reward_gp = GpModel(config.reward_kernel, config.noise_variance)
-        if config.uses_constraints:
-            self.constraint_gps = [
-                GpModel(k, config.noise_variance) for k in config.constraint_kernels
-            ]
-        else:
-            self.constraint_gps = []
+        kernels = config.constraint_kernels if config.uses_constraints else []
+        self.constraint_gps = [GpModel(k, config.noise_variance) for k in kernels]
         self.router = ContextRouter(
             config.num_contexts, config.num_actions, config.expert_rule,
             config.uses_context,
         )
-
-    @property
-    def learns(self) -> bool:
-        """Whether the player uses its feedback; the random baseline does
-        not, so the engine sends it none."""
-        return self.config.algorithm != RANDOM
 
     # -- per-function confidence widths ------------------------------------
 
@@ -220,8 +224,6 @@ class Player:
     def feasible_mask(self, z) -> np.ndarray:
         cfg = self.config
         mask = np.ones(cfg.num_actions, dtype=bool)
-        if not cfg.uses_constraints:
-            return mask
         actions = np.arange(cfg.num_actions, dtype=float)[:, None]
         for m, gp_m in enumerate(self.constraint_gps):
             lcbs = gp_m.lcb_batch(actions, self.constraint_beta(m))
@@ -240,8 +242,6 @@ class Player:
         cfg = self.config
         if self.infeasible:
             raise InfeasibilityDeclared(cfg.player_index, z)
-        if cfg.algorithm == RANDOM:
-            return int(self.rng.integers(cfg.num_actions))
         bucket = self.router.route(z)
         p = self.router.predict(bucket)
         mask = self.feasible_mask(z)
@@ -258,8 +258,6 @@ class Player:
         """Close the round :meth:`select_action` opened with the player's
         own noisy feedback; raises ``RuntimeError`` when none is open."""
         cfg = self.config
-        if not self.learns:
-            return
         if self.round is None:
             raise RuntimeError("observe_feedback without an open round")
         noisy_constraints = np.asarray(noisy_constraints, dtype=float)

@@ -267,12 +267,12 @@ class TestRunCommand:
     def test_round_one_halt_is_a_status(self, monkeypatch, tmp_path):
         real = Player.select_action
 
-        def player_1_declares(self, z):
-            if self.config.player_index == 1:
-                raise InfeasibilityDeclared(1, z)
+        def player_0_declares(self, z):
+            if self.config.player_index == 0:
+                raise InfeasibilityDeclared(0, z)
             return real(self, z)
 
-        monkeypatch.setattr(Player, "select_action", player_1_declares)
+        monkeypatch.setattr(Player, "select_action", player_0_declares)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_doc(T=5, seeds=[0])))
         out = tmp_path / "out"
@@ -282,7 +282,7 @@ class TestRunCommand:
         assert summary["errors"] == {}
         per_seed = summary["per_seed"]["0"]
         assert per_seed["num_rounds"] == 0
-        assert (per_seed["infeasible_player"], per_seed["infeasible_round"]) == (1, 1)
+        assert (per_seed["infeasible_player"], per_seed["infeasible_round"]) == (0, 1)
         assert per_seed["cce_eps"] is None
         assert per_seed["final_regret"] == [0.0, 0.0]
         lines = (out / "rounds_seed0.csv").read_text().splitlines()
@@ -450,7 +450,9 @@ def round12_reference(obj):
 
 
 EDGE_FLOATS = [-0.0, 5e-324, 999999999999.5, 9.99999999999995, 1e16,
-               float("nan"), float("inf"), -float("inf")]
+               float("nan"), float("inf"), -float("inf"), 99999999999.99, 1e11,
+               999999999999.6, 1e-300, 9.99e-301, 2.2250738585072014e-308,
+               1e-310, 2.9999999999999, 7.0]
 FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
 SCALARS = (
     FLOATS
@@ -494,3 +496,28 @@ class TestJsonText:
             round12_reference(obj), indent=2, sort_keys=True
         )
         assert '\n    1000000000000.0,\n    10.0,\n    1e+16,' in json_text(obj)
+
+    @pytest.mark.parametrize("value", EDGE_FLOATS)
+    def test_edge_float_among_plain_values(self, value):
+        # the other values alone would be written from their %.12g text
+        obj = {"values": [0.25, value, 3.0, -0.0]}
+        assert json_text(obj) == json.dumps(
+            round12_reference(obj), indent=2, sort_keys=True
+        )
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-5, 1e-2, 1.0, 1e3, 1e6, 1e7, 1e10])
+    def test_cumulative_sums_at_scale(self, scale):
+        # curves like the summary's regret and violation curves, 20000
+        # rounds long, some of them integral
+        rng = np.random.default_rng(int(np.log10(scale)) + 8)
+        curve = np.cumsum(rng.random(20000) * scale)
+        drift = np.cumsum((rng.random(20000) - 0.7) * scale)
+        floored = curve.copy()
+        floored[::10] = np.floor(floored[::10])
+        counts = np.cumsum(rng.integers(0, 3, 20000)).astype(float)
+        obj = {"curve": curve, "drift": drift.tolist(), "floored": floored,
+               "counts": counts.tolist(), "scaled_counts": counts * scale}
+        # compared by lines: a failing diff of the whole text takes minutes
+        assert json_text(obj).splitlines() == json.dumps(
+            round12_reference(obj), indent=2, sort_keys=True
+        ).splitlines()

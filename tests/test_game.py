@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from congames import game as game_mod
+from congames.cli import build_player
+from congames.config import PlayerBlock
 from congames.game import (
     GameDefinition,
     GENERATOR_SCHEME,
@@ -15,14 +17,14 @@ from congames.game import (
     run,
     uniform_finite_schedule,
 )
-from congames.gp import ConfidenceParams
+from congames.gp import ConfidenceParams, FactorizationError
 from congames.kernels import Product, SquaredExponential, cross
 from congames.strategy import (
     CZ_ADA_NORMAL_GP,
     InfeasibilityDeclared,
     Player,
     PlayerConfig,
-    RANDOM,
+    UniformPlayer,
 )
 
 
@@ -47,17 +49,7 @@ def tiny_game(constraints=None):
 
 
 def random_players(game, seed=0):
-    return [
-        Player(
-            PlayerConfig(
-                player_index=i,
-                num_actions=game.num_actions,
-                algorithm=RANDOM,
-                seed=seed + i,
-            )
-        )
-        for i in range(game.num_players)
-    ]
+    return [UniformPlayer(game.num_actions, seed + i) for i in range(game.num_players)]
 
 
 class TestGameDefinition:
@@ -286,8 +278,13 @@ class TestRun:
     def test_halt_keeps_earlier_rounds(self):
         game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
         sched = uniform_finite_schedule(2, 20, seed=2)
-        full = run(game, random_players(game), sched, noise_seed=7)
-        players = random_players(game)
+
+        def random_and_learner():
+            block = PlayerBlock(algorithm=CZ_ADA_NORMAL_GP, beta_scale=0.2)
+            return [random_players(game)[0], build_player(block, game, 1, 11)]
+
+        full = run(game, random_and_learner(), sched, noise_seed=7)
+        players = random_and_learner()
         select = players[1].select_action
         calls = []
 
@@ -343,10 +340,9 @@ class TestRun:
 
 def reference_run(game, players, context_schedule, noise_seed=0):
     """The engine as a per-round loop: two noise draws and a gather of
-    the true values per round, feedback to every player, and the noisy
-    arrays filled row by row.  ``run`` must reproduce it exactly."""
-    from congames.gp import FactorizationError
-
+    the true values per round, feedback to every learner, and the noisy
+    arrays filled row by row; a random player's action is read from its
+    ``actions(T)`` column.  ``run`` must reproduce it exactly."""
     N, M = game.num_players, game.num_constraints
     contexts = np.array([int(z) for z in context_schedule], dtype=np.int64)
     T = len(contexts)
@@ -359,6 +355,9 @@ def reference_run(game, players, context_schedule, noise_seed=0):
     ).reshape(N, M)
     grids = [game.constraint_grid(i) for i in range(N)]
     rng = np.random.default_rng(noise_seed)
+    columns = {
+        i: p.actions(T) for i, p in enumerate(players) if isinstance(p, UniformPlayer)
+    }
 
     def played(rounds, **status):
         return Trajectory(
@@ -369,7 +368,10 @@ def reference_run(game, players, context_schedule, noise_seed=0):
     for t in range(T):
         z = int(contexts[t])
         try:
-            joint = tuple(p.select_action(z) for p in players)
+            joint = tuple(
+                int(columns[i][t]) if i in columns else p.select_action(z)
+                for i, p in enumerate(players)
+            )
         except InfeasibilityDeclared as declared:
             return played(
                 t, status="infeasibility_declared",
@@ -382,6 +384,8 @@ def reference_run(game, players, context_schedule, noise_seed=0):
         rewards = true_rewards + reward_sigma * rng.standard_normal(N)
         constraints = true_constraints + constraint_sigma * rng.standard_normal((N, M))
         for i, player in enumerate(players):
+            if i in columns:
+                continue
             try:
                 player.observe_feedback(
                     joint[i], joint[:i] + joint[i + 1:], rewards[i], constraints[i]
@@ -399,11 +403,15 @@ def reference_run(game, players, context_schedule, noise_seed=0):
 
 STATUS_FIELDS = ("status", "infeasible_player", "infeasible_round",
                  "failed_player", "failed_round", "num_rounds")
+ALL_RANDOM = ["random"] * 3
+ONE_LEARNER = ["random", "cz_ada_normal_gp", "random"]
+MIXED = ["cz_ada_normal_gp", "random", "z_gpmw"]
 
 
 class TestRunMatchesReferenceLoop:
-    """``run`` draws its noise in one call, feeds only learners and builds
-    the noisy arrays at the end; the per-round loop is the oracle."""
+    """``run`` draws its noise and the random players' action columns in
+    one call each, asks and feeds only learners, and builds the noisy
+    arrays at the end; the per-round loop is the oracle."""
 
     @staticmethod
     def game(layout):
@@ -421,19 +429,17 @@ class TestRunMatchesReferenceLoop:
     @staticmethod
     def players(game, algorithms, halt=None, fail=None, fed=None):
         """Players built as the CLI builds them.  ``halt=(i, r)`` makes
-        player i declare infeasibility in round r, ``fail=(i, r)`` makes
+        learner i declare infeasibility in round r, ``fail=(i, r)`` makes
         its ``observe_feedback`` raise ``FactorizationError`` in round r,
         and ``fed`` collects every learner's (round, player, reward,
         constraints) feedback."""
-        from congames.cli import build_player
-        from congames.config import PlayerBlock
-        from congames.gp import FactorizationError
-
         players = [
             build_player(PlayerBlock(algorithm=a, beta_scale=0.2), game, i, 10 + i)
             for i, a in enumerate(algorithms)
         ]
         for i, player in enumerate(players):
+            if isinstance(player, UniformPlayer):
+                continue
             selected = []
 
             def select(z, i=i, select=player.select_action, selected=selected):
@@ -456,16 +462,13 @@ class TestRunMatchesReferenceLoop:
 
     @pytest.mark.parametrize("layout", ["MK", "MKZ", "empty"])
     @pytest.mark.parametrize("algorithms, halt, fail", [
-        pytest.param(algorithms, halt, None, id=f"{name}-{when}")
-        for name, algorithms in (
-            ("all-random", ["random"] * 3),
-            ("mixed", ["cz_ada_normal_gp", "random", "z_gpmw"]),
-        )
-        for when, halt in (("completed", None), ("halt-round-1", (1, 1)),
-                           ("halt-round-9", (2, 9)))
-    ] + [
-        pytest.param(["cz_ada_normal_gp", "random", "z_gpmw"], None, (0, 7),
-                     id="mixed-factorization-error-round-7"),
+        pytest.param(ALL_RANDOM, None, None, id="all-random-completed"),
+        pytest.param(ONE_LEARNER, (1, 1), None, id="one-learner-halt-round-1"),
+        pytest.param(ONE_LEARNER, (1, 9), None, id="one-learner-halt-round-9"),
+        pytest.param(MIXED, None, None, id="mixed-completed"),
+        pytest.param(MIXED, (0, 1), None, id="mixed-halt-round-1"),
+        pytest.param(MIXED, (2, 9), None, id="mixed-halt-round-9"),
+        pytest.param(MIXED, None, (0, 7), id="mixed-factorization-error-round-7"),
     ])
     def test_same_trajectory(self, layout, algorithms, halt, fail):
         game = self.game(layout)

@@ -61,7 +61,7 @@ def dense_info_gain(kernel, noise_variance, X):
 class TestPosteriorOracle:
     def test_empty_model_is_prior(self):
         model = GpModel(SquaredExponential(lengthscale=1.0), 1.0)
-        mean, std = model.posterior(np.array([0.3]))
+        (mean,), (std,) = model.posterior_batch(np.array([[0.3]]))
         assert mean == 0.0
         assert std == pytest.approx(1.0)
 
@@ -70,7 +70,7 @@ class TestPosteriorOracle:
         model = GpModel(SquaredExponential(lengthscale=1.0), 1.0)
         x = np.array([0.7])
         model.add_observation(x, 1.0)
-        mean, std = model.posterior(x)
+        (mean,), (std,) = model.posterior_batch(x[None, :])
         assert mean == pytest.approx(0.5, rel=1e-8)
         assert std == pytest.approx(math.sqrt(0.5), rel=1e-8)
 
@@ -126,7 +126,7 @@ class TestPosteriorOracle:
         queries = rng.normal(size=(5, 2))
         means, stds = model.posterior_batch(queries)
         for q, m, s in zip(queries, means, stds):
-            sm, ss = model.posterior(q)
+            (sm,), (ss,) = model.posterior_batch(q[None, :])
             assert m == pytest.approx(sm, abs=1e-12)
             assert s == pytest.approx(ss, abs=1e-12)
 
@@ -151,7 +151,7 @@ class TestPosteriorOracle:
         x = np.array([0.5])
         for _ in range(5):
             model.add_observation(x, 1.0)
-        mean, _ = model.posterior(x)
+        (mean,), _ = model.posterior_batch(x[None, :])
         assert mean == pytest.approx(1.0, abs=1e-3)
 
 
@@ -275,7 +275,7 @@ class TestConfidenceBounds:
         means, stds = model.posterior_batch(X)
         np.testing.assert_allclose(model.ucb_batch(X, b), means + b * stds)
         np.testing.assert_allclose(model.lcb_batch(X, b), means - b * stds)
-        # a batch row agrees with the single-point posterior
-        mean, std = model.posterior(X[0])
+        # a batch row agrees with a one-row query
+        (mean,), (std,) = model.posterior_batch(X[:1])
         assert model.ucb_batch(X, b)[0] == pytest.approx(mean + b * std)
         assert model.lcb_batch(X, b)[0] == pytest.approx(mean - b * std)

@@ -24,7 +24,7 @@ from congames.metrics import (
     empirical_policy,
     theorem_bounds,
 )
-from congames.strategy import Player, PlayerConfig, RANDOM
+from congames.strategy import UniformPlayer
 
 
 def make_trajectory(game, plays):
@@ -311,15 +311,7 @@ class TestEmpiricalPolicyAndCce:
             game = generate_random_game(
                 seed, num_players=2, num_actions=3, num_contexts=2
             )
-            players = [
-                Player(
-                    PlayerConfig(
-                        player_index=i, num_actions=3,
-                        algorithm=RANDOM, seed=seed * 10 + i,
-                    )
-                )
-                for i in range(2)
-            ]
+            players = [UniformPlayer(3, seed * 10 + i) for i in range(2)]
             sched = uniform_finite_schedule(2, 50, seed=seed)
             traj = run(game, players, sched, noise_seed=seed)
             eps, _ = cce_epsilon(traj, game)
@@ -395,15 +387,7 @@ class TestTheoremBounds:
 class TestReport:
     def test_report_aggregates(self):
         game = generate_random_game(2, num_players=2, num_actions=3, num_contexts=2)
-        players = [
-            Player(
-                PlayerConfig(
-                    player_index=i, num_actions=3,
-                    algorithm=RANDOM, seed=i,
-                )
-            )
-            for i in range(2)
-        ]
+        players = [UniformPlayer(3, i) for i in range(2)]
         traj = run(game, players, uniform_finite_schedule(2, 30, seed=0), noise_seed=0)
         report = compute_report(traj, game)
         assert report.status == "completed"

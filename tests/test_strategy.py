@@ -18,6 +18,7 @@ from congames.strategy import (
     InfeasibilityDeclared,
     Player,
     PlayerConfig,
+    UniformPlayer,
     renormalize,
 )
 
@@ -77,6 +78,13 @@ class TestPlayerConfig:
         with pytest.raises(ValueError):
             make_config(algorithm="gradient_descent")
 
+    def test_random_is_not_a_learner(self):
+        # the random baseline is a UniformPlayer, not a configured learner
+        with pytest.raises(ValueError, match="not a learning algorithm"):
+            make_config(algorithm=RANDOM)
+        with pytest.raises(ValueError, match="not a learning algorithm"):
+            PlayerConfig(player_index=0, num_actions=3, algorithm=RANDOM)
+
     def test_requires_reward_model(self):
         with pytest.raises(ValueError):
             PlayerConfig(player_index=0, num_actions=3)
@@ -87,8 +95,6 @@ class TestPlayerConfig:
         assert make_config(C_ADA_NORMAL_GP).expert_rule == ADA_NORMAL_HEDGE
         assert make_config(Z_GPMW).expert_rule == REDUCED_HEDGE
         assert make_config(GPMW).expert_rule == REDUCED_HEDGE
-        assert PlayerConfig(player_index=0, num_actions=3,
-                            algorithm=RANDOM).expert_rule is None
         with pytest.raises(TypeError):
             make_config(expert_rule=REDUCED_HEDGE)
         with pytest.raises(AttributeError):
@@ -107,6 +113,23 @@ class TestPlayerConfig:
         assert not make_config(Z_GPMW).uses_constraints
         assert not make_config(GPMW).uses_context
         assert not make_config(GPMW).uses_constraints
+
+
+class TestUniformPlayer:
+    @pytest.mark.parametrize("T", [1, 5000, 20000])
+    @pytest.mark.parametrize("seed", [0, 17, 1_000_013])
+    @pytest.mark.parametrize("K", [2, 3, 7, 10])
+    def test_column_equals_scalar_draws(self, K, seed, T):
+        # the engine draws the column in one call; a per-round player
+        # would have drawn it one scalar at a time from the same seed
+        rng = np.random.default_rng(seed)
+        scalar = [int(rng.integers(K)) for _ in range(T)]
+        column = UniformPlayer(K, seed).actions(T)
+        assert column.tolist() == scalar
+
+    def test_rejects_fewer_than_two_actions(self):
+        with pytest.raises(ValueError):
+            UniformPlayer(1, 0)
 
 
 class TestContextRouter:
@@ -130,15 +153,14 @@ class TestContextRouter:
 
 class TestPlayer:
     def test_random_player_uniform_and_stateless(self):
-        player = Player(
-            PlayerConfig(player_index=0, num_actions=4, algorithm=RANDOM, seed=3)
-        )
-        actions = [player.select_action(0) for _ in range(200)]
-        assert set(actions) == {0, 1, 2, 3}
-        player.observe_feedback(1, (2,), 0.5, [])
-        player.observe_feedback(1, (2,), 0.5, [])  # random players open no round
-        assert player.round is None
+        player = UniformPlayer(4, seed=3)
+        actions = player.actions(200)
+        assert set(actions.tolist()) == {0, 1, 2, 3}
+        # a column depends on the seed alone, not on earlier calls
+        np.testing.assert_array_equal(player.actions(200), actions)
+        np.testing.assert_array_equal(player.actions(50), actions[:50])
         assert player.reward_gp is None
+        assert player.clamp_events == 0
 
     def test_seeded_determinism(self):
         runs = []
