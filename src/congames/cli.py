@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -38,15 +39,7 @@ from .config import (
     parse_config,
 )
 from .gp import ConfidenceParams
-from .strategy import (
-    ADA_NORMAL_HEDGE,
-    RANDOM,
-    USES_CONSTRAINTS,
-    USES_CONTEXT,
-    Player,
-    PlayerConfig,
-    UniformPlayer,
-)
+from .strategy import RANDOM, USES_CONTEXT, Player, PlayerConfig, UniformPlayer
 
 _SEED_STRIDE = 1_000_003
 _CSV_BLOCK_ROWS = 4096
@@ -189,53 +182,39 @@ def build_player(
         return UniformPlayer(game.num_actions, seed)
     reward_kernel = block.reward_kernel
     if reward_kernel is None:
-        if USES_CONTEXT[block.algorithm]:
-            reward_kernel = game_mod.default_reward_kernel(game.num_players)
-        else:
+        reward_kernel = game_mod.default_reward_kernel(game.num_players)
+        if not USES_CONTEXT[block.algorithm]:
             # non-contextual learners model rewards over joint actions only
-            reward_kernel = game_mod.default_reward_kernel(game.num_players).left
-    confidence = ConfidenceParams(
-        rkhs_bound=block.rkhs_bound,
-        noise_scale=block.noise_scale,
-        failure_prob=block.delta,
-        num_constraints=game.num_constraints,
-    )
-    num_constraints = game.num_constraints if USES_CONSTRAINTS[block.algorithm] else 0
-    constraint_kernel = block.constraint_kernel or game_mod.default_constraint_kernel()
+            reward_kernel = reward_kernel.left
     return Player(
         PlayerConfig(
             player_index=player_index,
             num_actions=game.num_actions,
             algorithm=block.algorithm,
-            seed=seed,
-            beta_scale=block.beta_scale,
-            noise_variance=block.noise_scale**2,
-            num_contexts=game.num_contexts,
             reward_kernel=reward_kernel,
-            reward_confidence=confidence,
-            num_constraints=num_constraints,
-            constraint_kernels=[constraint_kernel] * num_constraints,
-            constraint_confidences=[confidence] * num_constraints,
+            constraint_kernel=(
+                block.constraint_kernel or game_mod.default_constraint_kernel()
+            ),
+            confidence=ConfidenceParams(
+                rkhs_bound=block.rkhs_bound,
+                noise_scale=block.noise_scale,
+                failure_prob=block.delta,
+                num_constraints=game.num_constraints,
+            ),
+            num_contexts=game.num_contexts,
+            beta_scale=block.beta_scale,
+            seed=seed,
         )
     )
 
 
 def _load_game(config: ExperimentConfig, seed: int) -> game_mod.GameDefinition:
+    """The seed's generated game, or the config's game file."""
     if config.game.generate is not None:
-        params = config.game.generate
         return game_mod.generate_random_game(
-            seed,
-            num_players=params.num_players,
-            num_actions=params.num_actions,
-            num_contexts=params.num_contexts,
-            num_constraints=params.num_constraints,
-            num_gp_samples=params.num_gp_samples,
-            points_per_sample=params.points_per_sample,
-            obs_noise=params.obs_noise,
-            noise_scale=params.noise_scale,
-            feasible_quantile=params.feasible_quantile,
+            seed, **dataclasses.asdict(config.game.generate)
         )
-    return game_mod.GameDefinition.from_json(Path(config.game.path).read_text())
+    return _check_game_file(config)
 
 
 def run_seed(
@@ -269,21 +248,16 @@ def run_seed(
         for i, player in enumerate(players):
             if not isinstance(player, Player):
                 continue
-            magnitudes = None
-            if player.config.expert_rule == ADA_NORMAL_HEDGE:
-                magnitudes = [s.magnitudes for s in player.router.states.values()]
             regret_bound, violation_bounds = metrics_mod.theorem_bounds(
                 num_actions=game.num_actions,
                 num_contexts=game.num_contexts,
                 T=max(trajectory.num_rounds, 1),
-                delta=player.config.reward_confidence.failure_prob,
-                reward_params=player.config.reward_confidence,
+                confidence=player.config.confidence,
                 reward_info_gain=player.reward_gp.running_info_gain,
-                constraint_params=player.config.constraint_confidences,
                 constraint_info_gains=[
                     gp.running_info_gain for gp in player.constraint_gps
                 ],
-                expert_magnitudes=magnitudes,
+                expert_magnitudes=player.router.magnitudes(),
             )
             bounds[str(i)] = {
                 "regret_bound": regret_bound,
@@ -428,8 +402,8 @@ def _metadata_stamp(config_text: str, config: ExperimentConfig) -> dict:
 
 
 def _check_game_file(config: ExperimentConfig) -> game_mod.GameDefinition:
-    """Read and validate the config's game file once, before any seed
-    runs, and return the game every seed plays."""
+    """Read and validate the config's game file: ``congames run`` reads it
+    once, before any seed runs, and every seed plays the game returned."""
     path = config.game.path
     try:
         game = game_mod.GameDefinition.from_json(Path(path).read_text())
@@ -445,13 +419,13 @@ def cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text()
         config = parse_config(text)
-        game = None
-        if config.game.path is not None:
-            game = _check_game_file(config)
+        game = None if config.game.path is None else _check_game_file(config)
         if args.seed_override is not None:
             if args.seed_override < 0:
                 raise ConfigError("--seed-override", "must be at least 0")
             config.seeds = [args.seed_override]
+        if args.parallel < 1:
+            raise ConfigError("--parallel", "must be at least 1")
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -194,6 +194,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(".seeds", "must be a non-empty list of integers")
     for i, s in enumerate(seeds):
         _integer(s, f".seeds[{i}]", 0)
+        # a repeated seed would count one run twice in the aggregate
+        if seeds.index(s) < i:
+            raise ConfigError(f".seeds[{i}]", f"repeats seed {s}")
 
     players_obj = doc.get("players")
     if players_obj is None:
@@ -219,6 +222,8 @@ def parse_config(text: str) -> ExperimentConfig:
             _integer(z, f".context_schedule.contexts[{t}]")
             for t, z in enumerate(contexts)
         ]
+    elif "contexts" in sched_obj:
+        raise ConfigError(".context_schedule.contexts", "needs mode fixed_sequence")
 
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -238,6 +243,11 @@ def parse_config(text: str) -> ExperimentConfig:
     )
     if game.generate is not None:
         check_game_shape(config, game.generate.num_players, game.generate.num_contexts)
+    if schedule.mode == "fixed_sequence" and len(schedule.contexts) < T:
+        raise ConfigError(
+            ".context_schedule.contexts",
+            f"{len(schedule.contexts)} contexts for a horizon of T = {T}",
+        )
     return config
 
 

@@ -26,7 +26,6 @@ from .kernels import (
     SquaredExponential,
     cross,
     gram,
-    kernel_from_config,
     kernel_to_config,
 )
 from .strategy import InfeasibilityDeclared, Player, UniformPlayer

@@ -152,18 +152,18 @@ def theorem_bounds(
     num_actions: int,
     num_contexts: int,
     T: int,
-    delta: float,
-    reward_params: ConfidenceParams,
+    confidence: ConfidenceParams,
     reward_info_gain: float,
-    constraint_params: list[ConfidenceParams],
     constraint_info_gains: list[float],
     expert_magnitudes: list[np.ndarray] | None = None,
 ) -> tuple[float, list[float]]:
     """Explicit high-probability regret and violation bound values.
 
-    ``expert_magnitudes`` holds the realized per-context cumulative
-    magnitude vectors; when omitted the horizon-based cap on the
-    weight-spread term B, 5/2 + 3/2 * log(1+T), is used instead.
+    ``confidence`` sets beta for the reward and every constraint model,
+    and its delta the martingale term.  ``expert_magnitudes`` holds the
+    realized per-context cumulative magnitude vectors; when omitted the
+    horizon-based cap on the weight-spread term B, 5/2 + 3/2 * log(1+T),
+    is used instead.
     """
     K = num_actions
     if expert_magnitudes:
@@ -177,19 +177,14 @@ def theorem_bounds(
         3.0 * num_contexts * T
         * (math.log(K) + math.log(B) + math.log(1.0 + math.log(K)))
     )
-    martingale_term = math.sqrt(T / 2.0 * math.log(2.0 / delta))
-    sigma0 = reward_params.noise_scale
-    c1 = 8.0 / math.log1p(1.0 / sigma0**2)
-    beta0 = beta(reward_params, reward_info_gain)
-    gp_term = c1 * beta0 * math.sqrt(T * reward_info_gain)
-    regret_bound = expert_term + martingale_term + gp_term
-    violation_bounds = []
-    for params, gain in zip(constraint_params, constraint_info_gains):
-        c1_m = 8.0 / math.log1p(1.0 / params.noise_scale**2)
-        violation_bounds.append(
-            c1_m * beta(params, gain) * math.sqrt(T * gain)
-        )
-    return regret_bound, violation_bounds
+    martingale_term = math.sqrt(T / 2.0 * math.log(2.0 / confidence.failure_prob))
+    c1 = 8.0 / math.log1p(1.0 / confidence.noise_scale**2)
+
+    def gp_term(info_gain: float) -> float:
+        return c1 * beta(confidence, info_gain) * math.sqrt(T * info_gain)
+
+    regret_bound = expert_term + martingale_term + gp_term(reward_info_gain)
+    return regret_bound, [gp_term(gain) for gain in constraint_info_gains]
 
 
 @dataclass

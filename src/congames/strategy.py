@@ -10,15 +10,16 @@ sample from the renormalized distribution) and keeps what it computed in
 expert state from that same mask and sampling distribution and then the
 GPs from the player's own noisy feedback.
 
-Baselines reuse the same machinery: the multiplicative-weights learners
-skip constraint filtering and non-contextual variants collapse the router
-to a single bucket.  The random baseline plays uniform and learns nothing:
-a :class:`UniformPlayer` is a seeded column of actions.
+Only this module reads what an algorithm means: the multiplicative-
+weights learners build no constraint model, non-contextual variants
+collapse the router to a single bucket, and the router applies the
+algorithm's expert rule.  The random baseline plays uniform and learns
+nothing: a :class:`UniformPlayer` is a seeded column of actions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,16 +74,17 @@ def renormalize(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PlayerConfig:
+    """One value per setting: ``confidence`` (B, sigma, delta and the
+    game's M) serves the reward model and each of the M constraint
+    models, whose kernel is ``constraint_kernel``; sigma^2 is their noise."""
+
     player_index: int
     num_actions: int
     algorithm: str = CZ_ADA_NORMAL_GP
-    num_constraints: int = 0
     reward_kernel: KernelSpec | None = None
-    constraint_kernels: list[KernelSpec] = field(default_factory=list)
-    reward_confidence: ConfidenceParams | None = None
-    constraint_confidences: list[ConfidenceParams] = field(default_factory=list)
+    constraint_kernel: KernelSpec | None = None
+    confidence: ConfidenceParams | None = None
     num_contexts: int = 1
-    noise_variance: float = 1.0
     beta_scale: float = 1.0
     seed: int = 0
 
@@ -93,15 +95,18 @@ class PlayerConfig:
             raise ValueError("num_contexts must be at least 1")
         if self.algorithm not in EXPERT_RULE:
             raise ValueError(f"{self.algorithm!r} is not a learning algorithm")
-        if self.reward_kernel is None or self.reward_confidence is None:
+        if self.reward_kernel is None or self.confidence is None:
             raise ValueError(
                 f"{self.algorithm} requires a reward kernel and confidence"
             )
-        if self.uses_constraints and self.num_constraints > 0:
-            if len(self.constraint_kernels) != self.num_constraints:
-                raise ValueError("one constraint kernel per constraint required")
-            if len(self.constraint_confidences) != self.num_constraints:
-                raise ValueError("one confidence block per constraint required")
+        if self.uses_constraints and self.num_constraints:
+            if self.constraint_kernel is None:
+                raise ValueError(f"{self.algorithm} requires a constraint kernel")
+
+    @property
+    def num_constraints(self) -> int:
+        """The game's constraint count M, as the confidence block holds it."""
+        return self.confidence.num_constraints
 
     @property
     def expert_rule(self) -> str:
@@ -137,7 +142,8 @@ class UniformPlayer:
 
 
 class ContextRouter:
-    """Maps context ids to per-bucket expert states.
+    """Maps context ids to per-bucket expert states and applies the
+    expert rule to them.
 
     A contextual learner keeps one bucket per context id in [0, Z); a
     non-contextual one plays every context from bucket 0.  A bucket's
@@ -172,6 +178,24 @@ class ContextRouter:
             return experts.ada_predict(state)
         return experts.hedge_predict(state)
 
+    def update(self, key: int, mask: np.ndarray, ucbs: np.ndarray,
+               p: np.ndarray, pbar: np.ndarray) -> None:
+        """Update bucket ``key`` from every action's reward UCB, the awake
+        mask, p, and the pbar the action was sampled from."""
+        state = self.states[key]
+        if self.expert_rule == ADA_NORMAL_HEDGE:
+            rhat = np.clip(ucbs, 0.0, 1.0)
+            self.states[key] = experts.ada_update(state, mask, rhat, pbar)
+        else:
+            completed = experts.sleeping_reward_completion(ucbs, mask, p)
+            self.states[key] = experts.hedge_update(state, completed)
+
+    def magnitudes(self) -> list[np.ndarray] | None:
+        """Each bucket's magnitude vector C; None under Hedge."""
+        if self.expert_rule != ADA_NORMAL_HEDGE:
+            return None
+        return [state.magnitudes for state in self.states.values()]
+
 
 class Player:
     """One learner; owns its models exclusively."""
@@ -183,9 +207,12 @@ class Player:
         self.infeasible = False
         # the open round: (z, bucket, p, mask, pbar), or None between rounds
         self.round: tuple | None = None
-        self.reward_gp = GpModel(config.reward_kernel, config.noise_variance)
-        kernels = config.constraint_kernels if config.uses_constraints else []
-        self.constraint_gps = [GpModel(k, config.noise_variance) for k in kernels]
+        noise_variance = config.confidence.noise_scale**2
+        self.reward_gp = GpModel(config.reward_kernel, noise_variance)
+        num_models = config.num_constraints if config.uses_constraints else 0
+        self.constraint_gps = [
+            GpModel(config.constraint_kernel, noise_variance) for _ in range(num_models)
+        ]
         self.router = ContextRouter(
             config.num_contexts, config.num_actions, config.expert_rule,
             config.uses_context,
@@ -195,13 +222,12 @@ class Player:
 
     def reward_beta(self) -> float:
         return self.config.beta_scale * beta(
-            self.config.reward_confidence, self.reward_gp.running_info_gain
+            self.config.confidence, self.reward_gp.running_info_gain
         )
 
     def constraint_beta(self, m: int) -> float:
         return self.config.beta_scale * beta(
-            self.config.constraint_confidences[m],
-            self.constraint_gps[m].running_info_gain,
+            self.config.confidence, self.constraint_gps[m].running_info_gain
         )
 
     # -- round interface ----------------------------------------------------
@@ -270,14 +296,7 @@ class Player:
         candidates = self._reward_inputs(opponents_actions, z)
         ucbs = self.reward_gp.ucb_batch(candidates, self.reward_beta())
         self.clamp_events += int(np.sum(ucbs < 0.0))
-        rhat = np.clip(ucbs, 0.0, 1.0)
-
-        state = self.router.states[bucket]
-        if cfg.expert_rule == ADA_NORMAL_HEDGE:
-            self.router.states[bucket] = experts.ada_update(state, mask, rhat, pbar)
-        else:
-            completed = experts.sleeping_reward_completion(ucbs, mask, p)
-            self.router.states[bucket] = experts.hedge_update(state, completed)
+        self.router.update(bucket, mask, ucbs, p, pbar)
 
         # append observations after the expert update so estimates above
         # used the pre-round posterior

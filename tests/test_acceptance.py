@@ -112,10 +112,8 @@ def _run_one(args):
             num_actions=game.num_actions,
             num_contexts=game.num_contexts,
             T=T,
-            delta=0.1,
-            reward_params=learner.config.reward_confidence,
+            confidence=learner.config.confidence,
             reward_info_gain=learner.reward_gp.running_info_gain,
-            constraint_params=learner.config.constraint_confidences,
             constraint_info_gains=[
                 g.running_info_gain for g in learner.constraint_gps
             ],

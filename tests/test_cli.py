@@ -12,15 +12,23 @@ from hypothesis.extra import numpy as hnp
 from congames.cli import (
     BLAS_THREADS,
     _write_seed_csv,
+    build_player,
     json_text,
     main,
     run_seed,
     worker_pool,
 )
-from congames.config import parse_config
-from congames.game import GameDefinition
+from congames.config import PlayerBlock, parse_config
+from congames.game import GameDefinition, generate_random_game
 from congames.gp import FactorizationError, GpModel
-from congames.strategy import InfeasibilityDeclared, Player
+from congames.strategy import (
+    C_ADA_NORMAL_GP,
+    CZ_ADA_NORMAL_GP,
+    GPMW,
+    Z_GPMW,
+    InfeasibilityDeclared,
+    Player,
+)
 
 
 def config_doc(**overrides):
@@ -184,6 +192,28 @@ class TestRunCommand:
         assert main(["run", str(config_path), "--out", str(out),
                      "--seed-override", "-1"]) == 1
         assert "config error: --seed-override: " in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_parallel_below_one_is_config_error(self, config_path, tmp_path,
+                                                capsys, parallel):
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out),
+                     "--parallel", parallel]) == 1
+        assert "config error: --parallel: must be at least 1" in capsys.readouterr().err
+        assert not (out / "metadata.json").exists()
+
+    def test_short_fixed_sequence_is_config_error(self, tmp_path, capsys):
+        # 3 contexts for T = 15: rejected before any seed runs
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_doc(
+            context_schedule={"mode": "fixed_sequence", "contexts": [0, 1, 0]}
+        )))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: .context_schedule.contexts: 3 contexts for a horizon"
+        )
         assert not (out / "summary.json").exists()
 
     def test_parallel_matches_serial(self, config_path, tmp_path):
@@ -415,6 +445,37 @@ class TestReport:
         assert main(["report", str(tmp_path)]) == 1
         assert "data row" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+class TestBuildPlayer:
+    """One value per learner setting, and the algorithm decides the rest."""
+
+    GAME = generate_random_game(
+        1, num_players=2, num_actions=3, num_contexts=2, num_constraints=2
+    )
+
+    @pytest.mark.parametrize("algorithm, constraint_models", [
+        (CZ_ADA_NORMAL_GP, 2), (C_ADA_NORMAL_GP, 2), (Z_GPMW, 0), (GPMW, 0),
+    ])
+    def test_one_confidence_block(self, algorithm, constraint_models):
+        block = PlayerBlock(algorithm=algorithm, noise_scale=0.5, delta=0.05,
+                            rkhs_bound=2.0)
+        player = build_player(block, self.GAME, 0, seed=3)
+        assert player.reward_gp.noise_variance == 0.5**2
+        assert len(player.constraint_gps) == constraint_models
+        for gp in player.constraint_gps:
+            assert gp.noise_variance == 0.5**2
+            assert gp.kernel == player.config.constraint_kernel
+        assert player.config.num_constraints == 2
+        confidence = player.config.confidence
+        assert (confidence.rkhs_bound, confidence.noise_scale,
+                confidence.failure_prob, confidence.num_constraints) == (
+            2.0, 0.5, 0.05, 2)
+
+    def test_num_constraints_is_read_only(self):
+        player = build_player(PlayerBlock(algorithm=CZ_ADA_NORMAL_GP), self.GAME, 0, 0)
+        with pytest.raises(AttributeError):
+            player.config.num_constraints = 1
 
 
 class TestRunSeedInternals:

@@ -1,10 +1,12 @@
 """Config parsing tests: defaults, shorthands, and path-addressed errors."""
 
+import inspect
 import json
 
 import pytest
 
-from congames.config import ConfigError, parse_config
+from congames.config import ConfigError, GeneratorParams, parse_config
+from congames.game import generate_random_game
 from congames.kernels import SquaredExponential
 from congames.strategy import CZ_ADA_NORMAL_GP, RANDOM
 
@@ -59,6 +61,21 @@ class TestDefaults:
         assert config.schedule.mode == "fixed_sequence"
         assert config.schedule.contexts[:2] == [0, 1]
 
+    def test_fixed_sequence_longer_than_horizon_accepted(self):
+        config = parse_config(base_config(context_schedule={
+            "mode": "fixed_sequence", "contexts": [1] * 11}))
+        assert config.schedule.contexts == [1] * 11
+
+    def test_generator_defaults_match_generate_random_game(self):
+        # the CLI passes every field as a keyword, so an omitted generator
+        # key must mean what the library's default means
+        signature = inspect.signature(generate_random_game)
+        defaults = {
+            name: param.default for name, param in signature.parameters.items()
+            if param.default is not inspect.Parameter.empty
+        }
+        assert vars(GeneratorParams()) == defaults
+
     def test_game_from_path(self):
         config = parse_config(
             json.dumps({"game": {"path": "some/game.json"}, "T": 5,
@@ -97,6 +114,13 @@ class TestErrors:
         with pytest.raises(ConfigError, match=r"\.seeds"):
             parse_config(base_config(seeds=["a"]))
 
+    def test_duplicate_seed(self):
+        # a repeat would count one run twice in the aggregate
+        with pytest.raises(ConfigError, match=r"^\.seeds\[1\]: repeats seed 1$"):
+            parse_config(base_config(seeds=[1, 1]))
+        with pytest.raises(ConfigError, match=r"^\.seeds\[3\]: "):
+            parse_config(base_config(seeds=[4, 0, 2, 0]))
+
     def test_bad_algorithm(self):
         with pytest.raises(ConfigError, match=r"\.players"):
             parse_config(base_config(players=[{"algorithm": "sgd"}] * 2))
@@ -112,6 +136,24 @@ class TestErrors:
     def test_fixed_sequence_requires_contexts(self):
         with pytest.raises(ConfigError, match=r"\.context_schedule\.contexts"):
             parse_config(base_config(context_schedule={"mode": "fixed_sequence"}))
+
+    @pytest.mark.parametrize("length", [1, 3, 9])
+    def test_fixed_sequence_shorter_than_horizon(self, length):
+        with pytest.raises(
+            ConfigError,
+            match=rf"^\.context_schedule\.contexts: {length} contexts for a "
+                  r"horizon of T = 10$",
+        ):
+            parse_config(base_config(context_schedule={
+                "mode": "fixed_sequence", "contexts": ([0, 1, 1] * 3)[:length]}))
+
+    @pytest.mark.parametrize("contexts", [[0, 1] * 5, []])
+    def test_uniform_iid_takes_no_contexts(self, contexts):
+        with pytest.raises(ConfigError, match=r"^\.context_schedule\.contexts: "):
+            parse_config(base_config(context_schedule={
+                "mode": "uniform_iid", "contexts": contexts}))
+        with pytest.raises(ConfigError, match=r"^\.context_schedule\.contexts: "):
+            parse_config(base_config(context_schedule={"contexts": contexts}))
 
     @pytest.mark.parametrize("z", [-1, 2])
     def test_fixed_sequence_context_out_of_range(self, z):

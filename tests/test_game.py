@@ -315,17 +315,14 @@ class TestRun:
                 player_index=0,
                 num_actions=2,
                 algorithm=CZ_ADA_NORMAL_GP,
-                num_constraints=1,
                 reward_kernel=Product(
                     left=SquaredExponential(lengthscale=2.0),
                     right=SquaredExponential(lengthscale=0.5),
                     split_index=2,
                 ),
-                constraint_kernels=[SquaredExponential(lengthscale=0.5)],
-                reward_confidence=confidence,
-                constraint_confidences=[confidence],
+                constraint_kernel=SquaredExponential(lengthscale=0.5),
+                confidence=confidence,
                 num_contexts=2,
-                noise_variance=0.09,
                 beta_scale=0.05,
                 seed=0,
             )

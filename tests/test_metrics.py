@@ -342,10 +342,8 @@ class TestTheoremBounds:
             num_actions=K,
             num_contexts=Z,
             T=T,
-            delta=delta,
-            reward_params=p,
+            confidence=p,
             reward_info_gain=gamma,
-            constraint_params=[p],
             constraint_info_gains=[gamma],
         )
         # independent recomputation, spelled out term by term
@@ -362,25 +360,52 @@ class TestTheoremBounds:
             c1 * beta_T * math.sqrt(T * gamma), abs=1e-9
         )
 
+    def test_hand_recomputation_sigma_delta_and_m(self):
+        # sigma, delta and M all differ from 1, 0.1 and 1, so a bound that
+        # read the wrong one, or a default, would not match
+        K, Z, T = 7, 5, 100
+        B, sigma, delta, M = 2.0, 0.5, 0.05, 2
+        reward_gain, gains = 6.0, [3.0, 4.5]
+        regret_bound, violation_bounds = theorem_bounds(
+            K, Z, T, self.params(B, sigma, delta, M), reward_gain, gains
+        )
+        B_pot = 2.5 + 1.5 * math.log1p(T)
+        expert = math.sqrt(
+            3.0 * Z * T * (math.log(K) + math.log(B_pot) + math.log(1 + math.log(K)))
+        )
+        martingale = math.sqrt(T / 2.0 * math.log(2.0 / delta))
+        c1 = 8.0 / math.log(1.0 + 1.0 / sigma**2)  # 8 / ln 5
+
+        def gp_term(gamma):
+            beta_T = B + sigma * math.sqrt(
+                2.0 * (gamma + 1.0 + math.log(2.0 * (M + 1) / delta))
+            )
+            return c1 * beta_T * math.sqrt(T * gamma)
+
+        assert regret_bound == pytest.approx(
+            expert + martingale + gp_term(reward_gain), abs=1e-9
+        )
+        assert violation_bounds == pytest.approx([gp_term(g) for g in gains], abs=1e-9)
+
     def test_single_context_drops_z_factor(self):
         p = self.params()
-        multi, _ = theorem_bounds(7, 5, 100, 0.1, p, 5.0, [p], [5.0])
-        single, _ = theorem_bounds(7, 1, 100, 0.1, p, 5.0, [p], [5.0])
+        multi, _ = theorem_bounds(7, 5, 100, p, 5.0, [5.0])
+        single, _ = theorem_bounds(7, 1, 100, p, 5.0, [5.0])
         assert single < multi
 
     def test_monotone_in_horizon(self):
         p = self.params()
-        b1, _ = theorem_bounds(7, 5, 100, 0.1, p, 5.0, [p], [5.0])
-        b2, _ = theorem_bounds(7, 5, 200, 0.1, p, 5.0, [p], [5.0])
+        b1, _ = theorem_bounds(7, 5, 100, p, 5.0, [5.0])
+        b2, _ = theorem_bounds(7, 5, 200, p, 5.0, [5.0])
         assert b2 > b1
 
     def test_realized_magnitudes_tighten_potential(self):
         p = self.params()
         small = [np.array([0.5, 0.5, 0.5])]
         tight, _ = theorem_bounds(
-            7, 5, 1000, 0.1, p, 5.0, [p], [5.0], expert_magnitudes=small
+            7, 5, 1000, p, 5.0, [5.0], expert_magnitudes=small
         )
-        loose, _ = theorem_bounds(7, 5, 1000, 0.1, p, 5.0, [p], [5.0])
+        loose, _ = theorem_bounds(7, 5, 1000, p, 5.0, [5.0])
         assert tight < loose
 
 

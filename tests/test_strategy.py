@@ -41,19 +41,13 @@ def make_config(algorithm=CZ_ADA_NORMAL_GP, num_constraints=1, **kw):
         player_index=0,
         num_actions=3,
         algorithm=algorithm,
-        num_constraints=num_constraints,
         reward_kernel=reward_kernel,
-        constraint_kernels=[SE1] * num_constraints,
-        reward_confidence=confidence(num_constraints),
-        constraint_confidences=[confidence(num_constraints)] * num_constraints,
+        constraint_kernel=SE1,
+        confidence=confidence(num_constraints),
         num_contexts=4,
         seed=0,
     )
     defaults.update(kw)
-    if algorithm in (Z_GPMW, GPMW):
-        defaults["num_constraints"] = 0
-        defaults["constraint_kernels"] = []
-        defaults["constraint_confidences"] = []
     return PlayerConfig(**defaults)
 
 
@@ -101,8 +95,8 @@ class TestPlayerConfig:
             make_config().expert_rule = REDUCED_HEDGE
 
     def test_constraint_shape_validation(self):
-        with pytest.raises(ValueError):
-            make_config(num_constraints=2, constraint_kernels=[SE1])
+        with pytest.raises(ValueError, match="constraint kernel"):
+            make_config(num_constraints=2, constraint_kernel=None)
 
     def test_context_and_constraint_flags(self):
         assert make_config(CZ_ADA_NORMAL_GP).uses_context
