@@ -342,8 +342,7 @@ def run_experiment(
     """Run all seeds, write outputs, and return the process exit code.
 
     ``game``, the config's game file loaded once, is played by every seed.
-    With ``parallel > 1`` the seeds run in a :func:`worker_pool`, each on
-    a game built in this process.
+    With ``parallel > 1`` the seeds run in a :func:`worker_pool`.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = config.seeds
@@ -351,17 +350,7 @@ def run_experiment(
     failures: dict[int, str] = {}
     if parallel > 1:
         with worker_pool(parallel) as pool:
-            futures = {}
-            for s in seeds:
-                # games are built here, not in the workers: the generator's
-                # LU solve rounds differently under another BLAS thread
-                # count, and the output must not depend on --parallel
-                try:
-                    seed_game = game if game is not None else _load_game(config, s)
-                except Exception:
-                    failures[s] = traceback.format_exc()
-                    continue
-                futures[s] = pool.submit(run_seed, config, s, seed_game)
+            futures = {s: pool.submit(run_seed, config, s, game) for s in seeds}
             for s, future in futures.items():
                 try:
                     results.append(future.result())

@@ -14,8 +14,13 @@ them back with one gather.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -195,6 +200,47 @@ class Trajectory:
         return len(self.contexts)
 
 
+@functools.cache
+def _bundled_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, if it exports the thread-count calls."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))  # already loaded by numpy: the same handle
+        if hasattr(lib, "scipy_openblas_set_num_threads64_") and hasattr(
+            lib, "scipy_openblas_get_num_threads64_"
+        ):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[bool]:
+    """Run the block with numpy's BLAS on one thread and restore the old
+    count after it.  Yields whether it could: where numpy links another
+    BLAS (MKL, a system OpenBLAS), nothing changes and it yields False.
+
+    OpenBLAS splits a factorization, and a large matrix-vector product, by
+    its thread count, so the same call rounds differently with another
+    count.
+    """
+    lib = _bundled_openblas()
+    if lib is None:
+        yield False
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    if before != 1:
+        lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield True
+    finally:
+        if before != 1:
+            lib.scipy_openblas_set_num_threads64_(before)
+
+
 def _sample_gp_function(
     rng: np.random.Generator,
     kernel: KernelSpec,
@@ -240,6 +286,7 @@ def default_constraint_kernel() -> KernelSpec:
     return SquaredExponential(lengthscale=0.5)
 
 
+@one_blas_thread()
 def generate_random_game(
     seed: int,
     num_players: int = 3,
@@ -267,6 +314,9 @@ def generate_random_game(
     two factor values that ``cross`` on the full grid computes, so the
     matrix, and the tables drawn from it, are bit-identical to the dense
     evaluation, at about a seventh of its cost for Z=25.
+
+    BLAS runs on one thread throughout (:func:`one_blas_thread`), so the
+    tables do not depend on the machine's core count.
     """
     if num_actions < 2 or num_contexts < 1 or num_players < 2:
         raise ValueError("degenerate grid")

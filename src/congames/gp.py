@@ -6,37 +6,43 @@ observations at one input with mean ybar carry exactly the information of
 one observation of ybar with noise s2 / n.  The model therefore works over
 the distinct inputs U only, with
 
-    A = K_UU + diag(s2 / n_j + jitter_j) = L L',
+    A = K_UU + diag(s2 / n_j + jitter_j),
 
-and keeps the inverse factor W = L^-1 (lower triangular) and w = W ybar.
-A batch of queries is one product, v = W k(U, X): the mean is v'w and the
-variance k(x, x) - |v|^2.  The updates are products and prefix sums too,
-so no triangular solve remains; W sits in a (cap, cap) buffer that
-doubles when full and is read through the view W[:u, :u].
+and keeps its explicit inverse P = A^-1 and alpha = P ybar.  P is held as
 
-* A new input x: with c = W k(U, x) and l^2 = k(x, x) + s2 - |c|^2, the
-  factor gains the row [c', l] and W the row [-(c'W) / l, 1 / l].  Only
-  a pivot that breaks down gets a diagonal jitter, up to MAX_JITTER.
-* A repeat of input j lowers its noise term from s2/n to s2/(n+1):
-  A - delta e_j e_j' = L (I - q q') L' with delta = s2 / (n(n+1)) and
-  q = sqrt(delta) W e_j, which is zero above row j and is read from
-  column j of W with no solve.  I - q q' = M M', where, with
-  rho_k = 1 - sum_{i<k} q_i^2 and d_k = sqrt(rho_{k+1} / rho_k), M has d
-  on its diagonal and M_ik = -q_i q_k / sqrt(rho_k rho_{k+1}) below it
-  (Gill, Golub, Murray & Saunders 1974).  In row k of M x = b the earlier
-  terms sum to -q_k S_k / rho_k with S_k = sum_{i<k} q_i b_i (by
-  induction, as rho_k = rho_{k+1} + q_k^2), so
+    P = S + V' diag(c) V,
 
-      x_k = (b_k + q_k S_k / rho_k) / d_k:
+where S sits in a (cap, cap) buffer, read through the view S[:u, :u], that
+doubles when full, and the rows of V (a (PENDING, cap) buffer) are up to
+PENDING rank-1 terms not yet added to S.  Every update below adds one such
+term at O(u * PENDING) cost; once PENDING of them wait, they are folded
+into S with one matrix product, S += V' diag(c) V.  An observation thus
+costs O(u * PENDING) plus a share of one O(u^2 * PENDING) gemm, instead of
+the O(u^2) passes an eager rank-1 update makes over S.
 
-  the new inverse factor M^-1 W differs from W only in rows j.., at the
-  cost of one exclusive prefix sum per column.  It breaks down when rho
-  reaches 0, that is when delta |W e_j|^2 >= 1.
+* A repeat of input j lowers its noise term from s2/n to s2/(n+1), so
+  A' = A - delta e_j e_j' with delta = s2 / (n(n+1)).  By Sherman and
+  Morrison (1950), with p = P e_j (column j of S plus the pending terms),
 
-w is recomputed in the rows that changed.  Queries match a dense solve
-over the full observation list to numerical precision, and so does the
-realized information gain 0.5 * logdet(I + K / s2), which is summed per
-observation and feeds the confidence-width schedule.
+      P' = P + s p p',   s = delta / (1 - delta p_j),
+
+  which breaks down when 1 - delta p_j <= 0, that is when A' is no longer
+  positive definite.  As ybar changes only in entry j, by d = ybar_j' -
+  ybar_j, and p' ybar = alpha_j, alpha gains p (s alpha_j + (1 + s p_j) d).
+* A new input x borders A with k = k(U, x) and k(x, x) + s2.  With b = P k
+  and the pivot piv = k(x, x) + s2 - k'b, the bordered inverse is
+
+      [[P + b b' / piv, -b / piv], [-b' / piv, 1 / piv]]:
+
+  S gains the row and column [-b' / piv, 1 / piv] and (b, 1 / piv) is
+  pending.  With r = (y - k'alpha) / piv, alpha gains -r b and the entry r.
+  Only a pivot that breaks down gets a diagonal jitter, up to MAX_JITTER.
+
+A batch of queries with kernel columns K = k(U, X) has means K'alpha and
+variances k(x, x) - diag(K'SK) - sum_i c_i (V_i K)^2.  Queries match a dense
+solve over the full observation list to numerical precision, and so does
+the realized information gain 0.5 * logdet(I + K / s2), which is summed
+per observation and feeds the confidence-width schedule.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ from .kernels import KernelSpec, cross, diag, evaluate
 
 BASE_JITTER = 1e-10
 MAX_JITTER = 1e-4
+# rank-1 terms of the inverse kept apart before one gemm adds them to S
+PENDING = 32
 
 
 class FactorizationError(RuntimeError):
@@ -98,13 +106,16 @@ class GpModel:
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.running_info_gain = 0.0
-        # distinct inputs, rows 0..size-1 of preallocated buffers; the
-        # inverse factor W is the (size, size) head of a (cap, cap) buffer
+        # distinct inputs, rows 0..size-1 of preallocated buffers; P = A^-1
+        # is the (size, size) head of S plus the first `pending` rows of V
         self._row: dict[bytes, int] = {}
         self._size = 0
+        self._pending = 0
         self._U = np.zeros((0, 0))
-        self._W = np.zeros((0, 0))
-        self._w = np.zeros(0)
+        self._S = np.zeros((0, 0))
+        self._V = np.zeros((PENDING, 0))
+        self._c = np.zeros(PENDING)
+        self._alpha = np.zeros(0)
         self._counts = np.zeros(0)
         self._sums = np.zeros(0)
         self._jitter = np.zeros(0)
@@ -139,18 +150,30 @@ class GpModel:
         )
         return self
 
+    def _apply(self, vec: np.ndarray) -> np.ndarray:
+        """P vec, the pending terms included."""
+        u, k = self._size, self._pending
+        out = self._S[:u, :u] @ vec
+        if k:
+            V = self._V[:k, :u]
+            out += (self._c[:k] * (V @ vec)) @ V
+        return out
+
     def _add_input(self, x: np.ndarray, y: float) -> float:
-        """Border the factor with a new input; returns the posterior
-        variance at x before this observation, k(x, x) - |c|^2."""
+        """Border P with a new input; returns the posterior variance at x
+        before this observation, k(x, x) - k'P k."""
         u = self._size
         kxx = evaluate(self.kernel, x, x)
         diag_entry = kxx + self.noise_variance
         if u:
             kvec = cross(self.kernel, self._U[:u], x[None, :]).ravel()
-            c = self._W[:u, :u] @ kvec
+            b = self._apply(kvec)
+            cc = kvec @ b
+            resid = y - kvec @ self._alpha[:u]
         else:
-            c = np.zeros(0)
-        cc = c @ c
+            b = np.zeros(0)
+            cc = 0.0
+            resid = y
         # jitter only a pivot that breaks down: a standing one would bias
         # the information gain by about jitter / noise per input
         jitter = 0.0
@@ -160,67 +183,85 @@ class GpModel:
             piv = diag_entry + jitter - cc
         if piv <= 0.0:
             raise FactorizationError(
-                "Cholesky border update broke down beyond maximum jitter"
+                "bordered inverse update broke down beyond maximum jitter"
             )
         self._grow(len(x))
-        ell = math.sqrt(piv)
-        self._W[u, :u] = (c @ self._W[:u, :u]) / -ell
-        self._W[u, u] = 1.0 / ell
+        border = b / -piv
+        self._S[u, :u] = border
+        self._S[:u, u] = border
+        self._S[u, u] = 1.0 / piv
+        r = resid / piv
+        self._alpha[:u] -= r * b
+        self._alpha[u] = r
         self._U[u] = x
         self._counts[u] = 1.0
         self._sums[u] = y
         self._jitter[u] = jitter
         self._row[x.tobytes()] = u
         self._size = u + 1
-        self._refresh_w(u)
+        if u:
+            self._push(b, 1.0 / piv)
         return kxx - cc
 
     def _repeat_input(self, j: int, y: float) -> float:
-        """Downdate the noise term of input j; returns the posterior
-        variance at that input before this observation.
+        """Sherman-Morrison update for the lowered noise term of input j;
+        returns the posterior variance at that input before this observation.
 
-        With A = K + S for the diagonal noise S, that variance is
-        S_jj - S_jj^2 [A^-1]_jj, and [A^-1]_jj = |W e_j|^2 = |z|^2.
+        With A = K + D for the diagonal noise D, that variance is
+        D_jj - D_jj^2 P_jj.
         """
-        u = self._size
+        u, k = self._size, self._pending
         n = self._counts[j]
-        s_jj = self.noise_variance / n + self._jitter[j]
+        d_jj = self.noise_variance / n + self._jitter[j]
         delta = self.noise_variance / (n * (n + 1.0))
-        B = self._W[j:u, :u]  # the rows M^-1 changes, updated in place
-        z = B[:, j]
-        zz = z @ z
-        q = math.sqrt(delta) * z
-        rho = 1.0 - np.concatenate(([0.0], np.cumsum(q * q)))
-        if rho[-1] <= 0.0:
-            raise FactorizationError("Cholesky downdate of a repeated input broke down")
-        d = np.sqrt(rho[1:] / rho[:-1])
-        # the prefix sums S_k of rows k >= 1; row 0's is empty, so it only scales
-        S = np.cumsum(q[:-1, None] * B[:-1], axis=0)
-        B[1:] += (q[1:] / rho[1:-1])[:, None] * S
-        B /= d[:, None]
+        # row j of S is its column j up to rounding, and is contiguous
+        p = self._S[j, :u].copy()
+        if k:
+            V = self._V[:k, :u]
+            p += (self._c[:k] * V[:, j]) @ V
+        p_jj = p[j]
+        rho = 1.0 - delta * p_jj
+        if rho <= 0.0:
+            raise FactorizationError("Sherman-Morrison update of a repeated input broke down")
+        s = delta / rho
+        d_ybar = (self._sums[j] + y) / (n + 1.0) - self._sums[j] / n
+        self._alpha[:u] += (s * self._alpha[j] + (1.0 + s * p_jj) * d_ybar) * p
         self._counts[j] = n + 1.0
         self._sums[j] += y
-        self._refresh_w(j)
-        return s_jj - s_jj * s_jj * zz
+        self._push(p, s)
+        return d_jj - d_jj * d_jj * p_jj
 
-    def _refresh_w(self, j: int) -> None:
-        """w = W ybar from row j on; the rows above j did not change."""
-        u = self._size
-        ybar = self._sums[:u] / self._counts[:u]
-        self._w[j:u] = self._W[j:u, :u] @ ybar
+    def _push(self, vec: np.ndarray, coef: float) -> None:
+        """Add the term coef * vec vec' to P; fold all terms into S once
+        PENDING of them wait.  A row of V is written over its first len(vec)
+        entries only: the rest stay zero, as no earlier write to the row was
+        longer (the size never shrinks)."""
+        k = self._pending
+        self._V[k, :len(vec)] = vec
+        self._c[k] = coef
+        k += 1
+        if k == PENDING:
+            u = self._size
+            V = self._V[:, :u]
+            self._S[:u, :u] += V.T @ (self._c[:, None] * V)
+            k = 0
+        self._pending = k
 
     def _grow(self, dim: int) -> None:
         """Make room for one more distinct input; the buffers double when full."""
         u = self._size
-        if u == len(self._w):
+        if u == len(self._alpha):
             cap = max(2 * u, 16)
-            W = np.zeros((cap, cap))  # pages stay unmapped until W reaches them
-            W[:u, :u] = self._W[:u, :u]
-            self._W = W
+            S = np.zeros((cap, cap))  # pages stay unmapped until S reaches them
+            S[:u, :u] = self._S[:u, :u]
+            self._S = S
+            V = np.zeros((PENDING, cap))
+            V[:, :u] = self._V[:, :u]
+            self._V = V
             self._U = np.concatenate([self._U.reshape(-1, dim), np.zeros((cap - u, dim))])
-            self._w, self._counts, self._sums, self._jitter = (
+            self._alpha, self._counts, self._sums, self._jitter = (
                 np.concatenate([a, np.zeros(cap - u)])
-                for a in (self._w, self._counts, self._sums, self._jitter)
+                for a in (self._alpha, self._counts, self._sums, self._jitter)
             )
 
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -235,10 +276,15 @@ class GpModel:
         if u == 0:
             return np.zeros(len(X)), np.sqrt(np.maximum(prior_var, 0.0))
         kmat = cross(self.kernel, self._U[:u], X)
-        v = self._W[:u, :u] @ kmat
-        means = v.T @ self._w[:u]
-        var = prior_var - np.einsum("ij,ij->j", v, v)
-        return means, np.sqrt(np.maximum(var, 0.0))
+        kt = kmat.T
+        means = kt @ self._alpha[:u]
+        # K' on the left: BLAS runs K'S about twice as fast as S K here
+        quad = np.einsum("ij,ij->i", kt @ self._S[:u, :u], kt)
+        k = self._pending
+        if k:
+            g = self._V[:k, :u] @ kmat
+            quad += self._c[:k] @ (g * g)
+        return means, np.sqrt(np.maximum(prior_var - quad, 0.0))
 
     def ucb_batch(self, X, beta_value: float) -> np.ndarray:
         means, stds = self.posterior_batch(X)

@@ -14,6 +14,7 @@ from congames.game import (
     Trajectory,
     fixed_schedule,
     generate_random_game,
+    one_blas_thread,
     run,
     uniform_finite_schedule,
 )
@@ -165,13 +166,15 @@ class TestGenerator:
             for i, (kernel, grid, X, alpha) in enumerate(calls[:N]):
                 # grid rows in table order: joint actions, context fastest
                 assert np.array_equal(grid, np.argwhere(np.ones(shape)))
-                dense = cross(kernel, grid, X) @ alpha
+                with one_blas_thread():  # as the generator runs it
+                    dense = cross(kernel, grid, X) @ alpha
                 lo, hi = dense.min(), dense.max()
                 assert np.array_equal(
                     game.rewards[i], ((dense - lo) / (hi - lo)).reshape(shape)
                 )
             for i, (kernel, grid, X, alpha) in enumerate(calls[N:]):
-                dense = cross(kernel, grid, X) @ alpha
+                with one_blas_thread():
+                    dense = cross(kernel, grid, X) @ alpha
                 assert np.array_equal(
                     game.constraints[i], [dense - np.quantile(dense, 0.25)]
                 )

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congames.gp import ConfidenceParams, FactorizationError, GpModel, beta
+from congames.gp import PENDING, ConfidenceParams, FactorizationError, GpModel, beta
 from congames.kernels import (
     Matern,
     Polynomial,
     Product,
     SquaredExponential,
+    cross,
     evaluate,
     gram,
 )
@@ -56,6 +57,31 @@ def dense_info_gain(kernel, noise_variance, X):
     sign, logdet = np.linalg.slogdet(np.eye(len(X)) + K / noise_variance)
     assert sign > 0
     return 0.5 * logdet
+
+
+def grouped_oracle(kernel, noise_variance, X, y, queries):
+    """``dense_posterior`` and ``dense_info_gain`` from sufficient statistics.
+
+    n observations at one input with mean ybar are one observation of ybar
+    with noise variance s2 / n, and by Sylvester's determinant identity
+    logdet(I + K_XX / s2) = logdet(I + N^1/2 K_UU N^1/2 / s2) for the
+    counts N, so a direct solve over the distinct inputs U gives the dense
+    answer over all observations at O(|U|^3) cost.
+    """
+    U, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+    ybar = np.bincount(inverse.ravel(), weights=y) / counts
+    K = gram(kernel, U)
+    A = K + np.diag(noise_variance / counts)
+    kq = cross(kernel, U, queries)
+    means = kq.T @ np.linalg.solve(A, ybar)
+    var = np.array([evaluate(kernel, q, q) for q in queries])
+    var -= np.einsum("ij,ij->j", kq, np.linalg.solve(A, kq))
+    root = np.sqrt(counts)
+    sign, logdet = np.linalg.slogdet(
+        np.eye(len(U)) + root[:, None] * K * root[None, :] / noise_variance
+    )
+    assert sign > 0
+    return means, np.sqrt(np.maximum(var, 0.0)), 0.5 * logdet
 
 
 class TestPosteriorOracle:
@@ -208,6 +234,70 @@ class TestRepeatedInputs:
         assert model.running_info_gain == pytest.approx(
             dense_info_gain(kernel, 0.1, X), rel=0, abs=1e-8
         )
+
+
+class TestDelayedInverse:
+    """P = S + V' diag(c) V against a direct solve over many observations."""
+
+    KERNEL = SquaredExponential(lengthscale=1.0)
+    NOISE = 0.1
+
+    def sequence(self, num_obs, num_inputs, seed):
+        # a 20 x 15 grid of inputs; early inputs repeat most, as a learner's
+        # first feasible actions do, and new ones keep arriving until 80% of
+        # the run, so the buffers double with terms pending
+        rng = np.random.default_rng(seed)
+        grid = 0.5 * np.argwhere(np.ones((20, 15)))[:num_inputs]
+        weights = 1.0 / (np.arange(num_inputs) + 5.0)
+        picks, seen = [], 0
+        for t in range(num_obs):
+            if seen < min(num_inputs, 1 + t * num_inputs * 5 // (4 * num_obs)):
+                picks.append(seen)
+                seen += 1
+            else:
+                w = weights[:seen]
+                picks.append(int(rng.choice(seen, p=w / w.sum())))
+        X = grid[picks]
+        y = np.sin(X[:, 0]) * np.cos(X[:, 1]) + 0.3 * rng.normal(size=num_obs)
+        return grid, X, y
+
+    def check(self, model, grid, X, y):
+        means, stds = model.posterior_batch(grid)
+        om, os, gain = grouped_oracle(self.KERNEL, self.NOISE, X, y, grid)
+        np.testing.assert_allclose(means, om, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(stds, os, rtol=0, atol=1e-8)
+        assert model.running_info_gain == pytest.approx(gain, rel=0, abs=1e-8)
+
+    def test_grouped_oracle_is_the_dense_oracle(self):
+        grid, X, y = self.sequence(400, 60, seed=21)
+        om, os, gain = grouped_oracle(self.KERNEL, self.NOISE, X, y, grid)
+        dm, ds = dense_posterior(self.KERNEL, self.NOISE, X, y, grid)
+        np.testing.assert_allclose(om, dm, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(os, ds, rtol=0, atol=1e-10)
+        assert gain == pytest.approx(
+            dense_info_gain(self.KERNEL, self.NOISE, X), rel=0, abs=1e-10
+        )
+
+    def test_matches_dense_oracle_over_5000_observations(self):
+        grid, X, y = self.sequence(5200, 300, seed=22)
+        model = GpModel(self.KERNEL, self.NOISE)
+        states = set()
+        for t, (xi, yi) in enumerate(zip(X, y), start=1):
+            cap, pending = len(model._alpha), model._pending
+            model.add_observation(xi, yi)
+            if len(model._alpha) > cap and pending:
+                # a doubling with terms pending: query at once
+                states.add("grown")
+            elif model._pending == 0 and pending == PENDING - 1 and t % 3 == 0:
+                states.add("folded")
+            elif model._pending == PENDING // 2 and t % 7 == 0:
+                states.add("mid-block")
+            else:
+                continue
+            self.check(model, grid, X[:t], y[:t])
+        assert states == {"grown", "folded", "mid-block"}
+        assert model.num_observations == 5200 and model.num_distinct == 300
+        self.check(model, grid, X, y)
 
 
 class TestInfoGain:
