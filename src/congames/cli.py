@@ -217,6 +217,7 @@ def _load_game(config: ExperimentConfig, seed: int) -> game_mod.GameDefinition:
     return _check_game_file(config)
 
 
+@game_mod.one_blas_thread()
 def run_seed(
     config: ExperimentConfig,
     seed: int,
@@ -225,7 +226,10 @@ def run_seed(
     """Run one seed end to end and return plain-data results.
 
     ``game`` is the seed's game when the caller has built it already;
-    without it the seed loads or generates its own.
+    without it the seed loads or generates its own.  BLAS runs on one
+    thread throughout (:func:`game.one_blas_thread`): the GP algebra is
+    small products that a second thread does not speed up, and a
+    threaded product may round differently.
     """
     if game is None:
         game = _load_game(config, seed)

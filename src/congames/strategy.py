@@ -10,6 +10,12 @@ sample from the renormalized distribution) and keeps what it computed in
 expert state from that same mask and sampling distribution and then the
 GPs from the player's own noisy feedback.
 
+The reward GP is queried at the awake actions only: AdaNormalHedge
+weighs an asleep action's reward by its zero sampling mass and masks its
+increment, and the Hedge reduction overwrites it.  So
+``Player.clamp_events`` counts the negative (clamped) reward UCBs of
+awake actions, the only ones an update reads.
+
 Only this module reads what an algorithm means: the multiplicative-
 weights learners build no constraint model, non-contextual variants
 collapse the router to a single bucket, and the router applies the
@@ -180,8 +186,9 @@ class ContextRouter:
 
     def update(self, key: int, mask: np.ndarray, ucbs: np.ndarray,
                p: np.ndarray, pbar: np.ndarray) -> None:
-        """Update bucket ``key`` from every action's reward UCB, the awake
-        mask, p, and the pbar the action was sampled from."""
+        """Update bucket ``key`` from the awake mask, the reward UCBs (an
+        asleep action's entry is not read), p, and the pbar the action was
+        sampled from."""
         state = self.states[key]
         if self.expert_rule == ADA_NORMAL_HEDGE:
             rhat = np.clip(ucbs, 0.0, 1.0)
@@ -217,6 +224,8 @@ class Player:
             config.num_contexts, config.num_actions, config.expert_rule,
             config.uses_context,
         )
+        # the constraint models' inputs: every own action, one row each
+        self._action_grid = np.arange(config.num_actions, dtype=float)[:, None]
 
     # -- per-function confidence widths ------------------------------------
 
@@ -235,24 +244,24 @@ class Player:
     def _constraint_input(self, action: int, z) -> np.ndarray:
         return np.array([float(action)], dtype=float)
 
-    def _reward_inputs(self, opponents, z) -> np.ndarray:
-        """Candidate reward-GP inputs, one row per own action."""
+    def _reward_inputs(self, opponents, z, own) -> np.ndarray:
+        """Reward-GP inputs, one row per own action in ``own``: the joint
+        action with that action in slot i, then z for a contextual learner."""
         cfg = self.config
         i = cfg.player_index
-        opp = np.asarray(opponents, dtype=float)
-        zv = [float(z)] if cfg.uses_context else []
-        # the own action goes in slot i of the joint action
-        row = np.concatenate([opp[:i], [0.0], opp[i:], zv])
-        rows = np.tile(row, (cfg.num_actions, 1))
-        rows[:, i] = np.arange(cfg.num_actions)
+        n = len(opponents) + 1
+        rows = np.empty((len(own), n + cfg.uses_context))
+        rows[:, :i] = opponents[:i]
+        rows[:, i] = own
+        rows[:, i + 1:n] = opponents[i:]
+        if cfg.uses_context:
+            rows[:, n] = z
         return rows
 
     def feasible_mask(self, z) -> np.ndarray:
-        cfg = self.config
-        mask = np.ones(cfg.num_actions, dtype=bool)
-        actions = np.arange(cfg.num_actions, dtype=float)[:, None]
+        mask = np.ones(self.config.num_actions, dtype=bool)
         for m, gp_m in enumerate(self.constraint_gps):
-            lcbs = gp_m.lcb_batch(actions, self.constraint_beta(m))
+            lcbs = gp_m.lcb_batch(self._action_grid, self.constraint_beta(m))
             mask &= lcbs <= 0.0
         return mask
 
@@ -277,7 +286,9 @@ class Player:
         pbar = renormalize(p, mask)
         action = int(np.searchsorted(np.cumsum(pbar), self.rng.random(), side="right"))
         self.round = (z, bucket, p, mask, pbar)
-        return min(action, cfg.num_actions - 1)
+        # the cumulative sum can end just below 1; a draw past its end
+        # plays the last action with mass, never an asleep one
+        return min(action, int(np.flatnonzero(pbar)[-1]))
 
     def observe_feedback(self, own_action: int, opponents_actions,
                          noisy_reward: float, noisy_constraints) -> None:
@@ -291,16 +302,22 @@ class Player:
             raise ValueError("constraint feedback length mismatch")
         z, bucket, p, mask, pbar = self.round
         self.round = None
+        awake = np.flatnonzero(mask)
+        row = int(np.searchsorted(awake, own_action))
+        if row == len(awake) or awake[row] != own_action:
+            raise ValueError(f"action {own_action} was asleep this round")
 
-        # optimistic reward estimates over own actions (pre-update posterior)
-        candidates = self._reward_inputs(opponents_actions, z)
-        ucbs = self.reward_gp.ucb_batch(candidates, self.reward_beta())
+        # optimistic reward estimates at the awake actions (pre-update
+        # posterior); no rule reads an asleep entry, which stays 0.0
+        candidates = self._reward_inputs(opponents_actions, z, awake)
+        ucbs = np.zeros(cfg.num_actions)
+        ucbs[awake] = self.reward_gp.ucb_batch(candidates, self.reward_beta())
         self.clamp_events += int(np.sum(ucbs < 0.0))
         self.router.update(bucket, mask, ucbs, p, pbar)
 
         # append observations after the expert update so estimates above
         # used the pre-round posterior
-        self.reward_gp.add_observation(candidates[own_action], noisy_reward)
+        self.reward_gp.add_observation(candidates[row], noisy_reward)
         for m, gp_m in enumerate(self.constraint_gps):
             gp_m.add_observation(
                 self._constraint_input(own_action, z), noisy_constraints[m]

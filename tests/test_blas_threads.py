@@ -82,3 +82,34 @@ def test_one_blas_thread_restores_the_count():
         assert lib.scipy_openblas_get_num_threads64_() == 2
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
+
+
+@NEEDS_OPENBLAS
+def test_run_seed_plays_on_one_blas_thread(monkeypatch):
+    # a cell's GP algebra runs pinned, and the caller's count comes back
+    from congames import cli, game
+    from congames.config import parse_config
+
+    lib = _bundled_openblas()
+    seen = []
+    real_run = game.run
+
+    def counting_run(*args, **kwargs):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(game, "run", counting_run)
+    config = parse_config(json.dumps({
+        "game": {"generate": {"num_players": 2, "K": 3, "Z": 2}},
+        "T": 10,
+        "seeds": [0],
+        "players": [{"algorithm": "cz_ada_normal_gp"}, {"algorithm": "random"}],
+    }))
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        assert cli.run_seed(config, 0)["status"] == "completed"
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    assert seen == [1]

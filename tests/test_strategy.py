@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from congames import experts
+from congames.cli import build_player
+from congames.config import PlayerBlock
+from congames.game import generate_random_game, run, uniform_finite_schedule
 from congames.gp import ConfidenceParams, GpModel
 from congames.kernels import Product, SquaredExponential
 from congames.strategy import (
     ADA_NORMAL_HEDGE,
+    ALGORITHMS,
     C_ADA_NORMAL_GP,
     CZ_ADA_NORMAL_GP,
     GPMW,
@@ -202,7 +206,7 @@ class TestPlayer:
         # 3 players: the own action takes slot `index` of the joint action,
         # the opponents keep their order, and the context comes last
         player = Player(make_config(algorithm, player_index=index))
-        rows = player._reward_inputs((5, 6), 2)
+        rows = player._reward_inputs((5, 6), 2, np.arange(3))
         for a in range(3):
             joint = [5.0, 6.0]
             joint.insert(index, float(a))
@@ -213,7 +217,7 @@ class TestPlayer:
 
     def test_non_contextual_inputs_exclude_context(self):
         player = Player(make_config(C_ADA_NORMAL_GP))
-        rows = player._reward_inputs((5,), 2)
+        rows = player._reward_inputs((5,), 2, np.arange(3))
         assert rows.shape == (3, 2)
 
     def test_observe_feedback_feeds_models(self):
@@ -312,3 +316,124 @@ class TestRoundMask:
             a = player.select_action(t % 4)
             player.observe_feedback(a, (t % 3,), 0.3, [0.1])
         assert len(calls) == 5
+
+
+class FixedDraw:
+    """An RNG stub whose every uniform draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestSampling:
+    def test_draw_past_the_cumulative_sum_plays_an_awake_action(self):
+        # pbar's cumulative sum ends one ulp below 1, so the largest draw
+        # lands past its end; the last action is asleep
+        p = np.array([0.1, 0.1, 0.6, 0.2])
+        mask = np.array([True, True, True, False])
+        draw = np.nextafter(1.0, 0.0)
+        assert np.cumsum(renormalize(p, mask))[-1] <= draw
+        player = Player(make_config(num_actions=4))
+        player.feasible_mask = lambda z: mask
+        player.router.predict = lambda key: p
+        player.rng = FixedDraw(draw)
+        action = player.select_action(0)
+        assert action == 2
+        # the round closes on the awake action's own reward row
+        player.observe_feedback(action, (1,), 0.5, [0.0])
+        np.testing.assert_array_equal(player.reward_gp.inputs, [[2.0, 1.0, 0.0]])
+
+    def test_observing_an_asleep_action_raises(self):
+        player = TestRoundMask.trained_player()
+        player.select_action(1)
+        assert not player.round[3][0]
+        with pytest.raises(ValueError, match="asleep"):
+            player.observe_feedback(0, (0,), 0.5, [-0.5])
+
+
+class TestAwakeQueries:
+    """The reward GP is queried at the awake actions only."""
+
+    def test_clamp_events_count_awake_actions_only(self):
+        player = TestRoundMask.trained_player()
+        rows = player._reward_inputs((0,), 1, np.arange(3))
+        for _ in range(30):
+            for row in rows:
+                player.reward_gp.add_observation(row, -1.0)
+        # every action's UCB is negative, but action 0 is asleep
+        assert np.all(player.reward_gp.ucb_batch(rows, player.reward_beta()) < 0.0)
+        a = player.select_action(1)
+        assert player.round[3].tolist() == [False, True, True]
+        player.observe_feedback(a, (0,), 0.5, [-0.5])
+        assert player.clamp_events == 2
+
+    class AllRowsPlayer(Player):
+        """The round with UCBs at all K candidate rows, asleep ones
+        included, handed to the expert update unmasked."""
+
+        def observe_feedback(self, own_action, opponents_actions, noisy_reward,
+                             noisy_constraints):
+            z, bucket, p, mask, pbar = self.round
+            self.round = None
+            rows = self._reward_inputs(
+                opponents_actions, z, np.arange(self.config.num_actions)
+            )
+            ucbs = self.reward_gp.ucb_batch(rows, self.reward_beta())
+            self.router.update(bucket, mask, ucbs, p, pbar)
+            self.reward_gp.add_observation(rows[own_action], noisy_reward)
+            for m, gp_m in enumerate(self.constraint_gps):
+                gp_m.add_observation(
+                    self._constraint_input(own_action, z), noisy_constraints[m]
+                )
+
+    @staticmethod
+    def play(algorithm, reference):
+        """200 rounds of the learner in the middle of three players; its
+        final bucket states and each round's (mask, UCBs)."""
+        game = generate_random_game(0, num_players=3, num_actions=4, num_contexts=2)
+        blocks = [PlayerBlock(), PlayerBlock(algorithm=algorithm, beta_scale=0.15),
+                  PlayerBlock()]
+        players = [build_player(b, game, i, 10 + i) for i, b in enumerate(blocks)]
+        if reference:
+            players[1] = TestAwakeQueries.AllRowsPlayer(players[1].config)
+        learner = players[1]
+        updates = []
+        real_update = learner.router.update
+
+        def recording(key, mask, ucbs, p, pbar):
+            updates.append((mask.copy(), ucbs.copy()))
+            real_update(key, mask, ucbs, p, pbar)
+
+        learner.router.update = recording
+        trajectory = run(game, players, uniform_finite_schedule(2, 200, 1), noise_seed=2)
+        assert trajectory.status == "completed"
+        return trajectory.actions, learner.router.states, updates
+
+    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != RANDOM])
+    def test_same_round_as_querying_every_action(self, algorithm):
+        actions, states, updates = self.play(algorithm, reference=False)
+        ref_actions, ref_states, ref_updates = self.play(algorithm, reference=True)
+        np.testing.assert_array_equal(actions, ref_actions)
+        assert len(actions) == 200
+        masks = np.array([mask for mask, _ in updates])
+        np.testing.assert_array_equal(masks, [mask for mask, _ in ref_updates])
+        if algorithm in (CZ_ADA_NORMAL_GP, C_ADA_NORMAL_GP):
+            assert masks.mean() < 1.0  # the filter drops actions
+        else:
+            assert masks.all()  # no filter: every action is awake
+        for (mask, ucbs), (_, ref_ucbs) in zip(updates, ref_updates):
+            np.testing.assert_allclose(ucbs[mask], ref_ucbs[mask], rtol=0, atol=1e-12)
+            assert np.all(ucbs[~mask] == 0.0)
+        assert states.keys() == ref_states.keys()
+        for key, state in states.items():
+            ref = ref_states[key]
+            if isinstance(state, experts.SleepingExpertState):
+                pairs = [(state.regrets, ref.regrets), (state.magnitudes, ref.magnitudes)]
+            else:
+                assert state.rounds_seen == ref.rounds_seen
+                pairs = [(state.log_weights, ref.log_weights)]
+            for got, want in pairs:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
