@@ -404,6 +404,13 @@ def _check_game_file(config: ExperimentConfig) -> game_mod.GameDefinition:
         raise ConfigError(".game.path", f"{path}: missing key {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(".game.path", f"{path}: {exc}") from exc
+    if game.num_actions < 2:
+        raise ConfigError(".game.path", f"{path}: num_actions must be at least 2")
+    for i in range(game.num_players):
+        stranded = np.flatnonzero(~game.feasible_actions(i).any(axis=1))
+        if len(stranded):
+            raise ConfigError(".game.path", f"{path}: player {i} has no "
+                              f"feasible action at context {stranded[0]}")
     check_game_shape(config, game.num_players, game.num_contexts)
     return game
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,39 +25,58 @@ class NoFeasibleActionError(ValueError):
     """A realized context admits no action satisfying the true constraints."""
 
 
-def _counterfactual(
+class _Oracle(NamedTuple):
+    """One player's oracle metrics, from one pass over its counterfactual
+    rewards and its true constraint values."""
+
+    regret: np.ndarray            # (T,) cumulative, vs the best feasible policy
+    violations: np.ndarray        # (M, T) cumulative positive parts
+    best_policy: dict[int, int]   # over the contexts that occur
+    reward_gap: float             # T times the player's equilibrium reward gap
+    violation_totals: np.ndarray  # (M,) T times the expected violations
+
+
+def _positive_parts(
     trajectory: Trajectory, game: GameDefinition, player: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The player's counterfactual reward matrix C, (T, K), where C[t, a]
-    is its true reward in round t had it played a; the per-context column
-    sums of C with -inf at infeasible actions, (Z, K); and the mask of
-    contexts that occur in the trajectory, (Z,)."""
+) -> np.ndarray:
+    """The positive parts of the player's true constraint values, (M, T)."""
+    grid = game.constraint_grid(player)
+    return np.maximum(grid[:, trajectory.actions[:, player], trajectory.contexts], 0.0)
+
+
+def _oracle(trajectory: Trajectory, game: GameDefinition, player: int) -> _Oracle:
+    """Gather the player's counterfactual reward matrix C, (T, K), where
+    C[t, a] is its true reward in round t had it played a, its per-context
+    column sums with -inf at infeasible actions, (Z, K), and its positive
+    constraint parts, once each; the best feasible policy is the row
+    argmax of the sums, and regret and the reward gap follow from them."""
     Z, K = game.num_contexts, game.num_actions
+    contexts = trajectory.contexts
     index = [a[:, None] for a in trajectory.actions.T]
     index[player] = np.arange(K)
-    C = game.rewards[player][(*index, trajectory.contexts[:, None])]
-    cells = (trajectory.contexts[:, None] * K + np.arange(K)).ravel()
+    C = game.rewards[player][(*index, contexts[:, None])]
+    cells = (contexts[:, None] * K + np.arange(K)).ravel()
     totals = np.bincount(cells, C.ravel(), minlength=Z * K).reshape(Z, K)
     feasible = game.feasible_actions(player)
-    realized = np.bincount(trajectory.contexts, minlength=Z) > 0
+    realized = np.bincount(contexts, minlength=Z) > 0
     stranded = np.flatnonzero(realized & ~feasible.any(axis=1))
     if len(stranded):
         raise NoFeasibleActionError(
             f"player {player} has no feasible action at context {stranded[0]}"
         )
-    return C, np.where(feasible, totals, -np.inf), realized
-
-
-def _regret(
-    trajectory: Trajectory, player: int, C: np.ndarray, policy: np.ndarray
-) -> np.ndarray:
+    totals = np.where(feasible, totals, -np.inf)
+    policy = totals.argmax(axis=1)
     rounds = np.arange(len(C))
-    best = C[rounds, policy[trajectory.contexts]]
-    return np.cumsum(best - C[rounds, trajectory.actions[:, player]])
-
-
-def _as_dict(policy: np.ndarray, realized: np.ndarray) -> dict[int, int]:
-    return {int(z): int(policy[z]) for z in np.flatnonzero(realized)}
+    played = C[rounds, trajectory.actions[:, player]]
+    earned = np.bincount(contexts, played, minlength=Z)
+    positive = _positive_parts(trajectory, game, player)
+    return _Oracle(
+        regret=np.cumsum(C[rounds, policy[contexts]] - played),
+        violations=np.cumsum(positive, axis=1),
+        best_policy={int(z): int(policy[z]) for z in np.flatnonzero(realized)},
+        reward_gap=float((totals.max(axis=1)[realized] - earned[realized]).sum()),
+        violation_totals=positive.sum(axis=1),
+    )
 
 
 def best_feasible_policy(
@@ -64,32 +84,21 @@ def best_feasible_policy(
 ) -> dict[int, int]:
     """Best fixed feasible context-to-action map against the realized play,
     over the contexts that occur."""
-    _, totals, realized = _counterfactual(trajectory, game, player)
-    return _as_dict(totals.argmax(axis=1), realized)
+    return _oracle(trajectory, game, player).best_policy
 
 
 def constrained_regret(
     trajectory: Trajectory, game: GameDefinition, player: int
 ) -> np.ndarray:
     """Cumulative regret against the T-round best feasible policy."""
-    C, totals, _ = _counterfactual(trajectory, game, player)
-    return _regret(trajectory, player, C, totals.argmax(axis=1))
-
-
-def _true_constraints(
-    trajectory: Trajectory, game: GameDefinition, player: int
-) -> np.ndarray:
-    """The player's true constraint values in every round, (M, T)."""
-    grid = game.constraint_grid(player)
-    return grid[:, trajectory.actions[:, player], trajectory.contexts]
+    return _oracle(trajectory, game, player).regret
 
 
 def cumulative_violations(
     trajectory: Trajectory, game: GameDefinition, player: int
 ) -> np.ndarray:
     """Per-constraint cumulative positive parts, shape (M, T)."""
-    positive = np.maximum(_true_constraints(trajectory, game, player), 0.0)
-    return np.cumsum(positive, axis=1)
+    return np.cumsum(_positive_parts(trajectory, game, player), axis=1)
 
 
 def empirical_policy(trajectory: Trajectory) -> dict[int, dict[tuple, float]]:
@@ -120,25 +129,10 @@ def cce_epsilon(
     Expectations are over the empirical joint distribution at each
     context, i.e. averages over the recorded rounds.
     """
-    T = trajectory.num_rounds
-    if T < 1:
+    if trajectory.num_rounds < 1:
         raise ValueError("empty trajectory")
-    gaps = {}
-    violations = {}
-    for i in range(game.num_players):
-        C, totals, realized = _counterfactual(trajectory, game, i)
-        played = C[np.arange(T), trajectory.actions[:, i]]
-        earned = np.bincount(
-            trajectory.contexts, played, minlength=game.num_contexts
-        )
-        deviation = totals.max(axis=1)
-        gaps[i] = float((deviation[realized] - earned[realized]).sum()) / T
-        positive = np.maximum(_true_constraints(trajectory, game, i), 0.0)
-        violations[i] = positive.sum(axis=1) / T
-    terms = [g for g in gaps.values()]
-    terms += [v for vs in violations.values() for v in vs]
-    eps = max(0.0, max(terms)) if terms else 0.0
-    return eps, {"reward_gaps": gaps, "violation_rates": violations}
+    report = compute_report(trajectory, game)
+    return report.cce_eps, report.cce_terms
 
 
 def adanormal_regret_bound(C_a: float, all_C: np.ndarray) -> float:
@@ -196,7 +190,6 @@ class MetricsReport:
     best_policy: dict[int, dict[int, int]]
     cce_eps: float | None            # None for a trajectory with no rounds
     cce_terms: dict
-    status: str
 
     def final_regret(self, player: int) -> float:
         r = self.regret[player]
@@ -208,23 +201,21 @@ class MetricsReport:
 
 
 def compute_report(trajectory: Trajectory, game: GameDefinition) -> MetricsReport:
-    """Every player's oracle metrics.  A run halted in its first round has
-    empty series, no best policy and no equilibrium accuracy."""
-    regret = {}
-    violations = {}
-    best = {}
-    for i in range(game.num_players):
-        C, totals, realized = _counterfactual(trajectory, game, i)
-        policy = totals.argmax(axis=1)
-        regret[i] = _regret(trajectory, i, C, policy)
-        violations[i] = cumulative_violations(trajectory, game, i)
-        best[i] = _as_dict(policy, realized)
-    eps, terms = cce_epsilon(trajectory, game) if trajectory.num_rounds else (None, {})
+    """Every player's oracle metrics, one pass per player.  A run halted in
+    its first round has empty series, no best policy and no equilibrium
+    accuracy."""
+    T = trajectory.num_rounds
+    oracles = [_oracle(trajectory, game, i) for i in range(game.num_players)]
+    eps, terms = None, {}
+    if T:
+        gaps = {i: o.reward_gap / T for i, o in enumerate(oracles)}
+        rates = {i: o.violation_totals / T for i, o in enumerate(oracles)}
+        eps = max([0.0, *gaps.values(), *(v for vs in rates.values() for v in vs)])
+        terms = {"reward_gaps": gaps, "violation_rates": rates}
     return MetricsReport(
-        regret=regret,
-        violations=violations,
-        best_policy=best,
+        regret=dict(enumerate(o.regret for o in oracles)),
+        violations=dict(enumerate(o.violations for o in oracles)),
+        best_policy=dict(enumerate(o.best_policy for o in oracles)),
         cce_eps=eps,
         cce_terms=terms,
-        status=trajectory.status,
     )

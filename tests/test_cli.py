@@ -271,28 +271,72 @@ class TestRunCommand:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
         assert "MKL_NUM_THREADS" not in os.environ
 
-    def test_seed_failure_isolated(self, tmp_path):
-        # a game file with no feasible action breaks metric computation for
-        # its seed; the run must record the error and finish other work
-        doc = config_doc(seeds=[0])
+    def test_seed_failure_isolated(self, monkeypatch, tmp_path):
+        # an error in one seed's metrics is recorded for that seed alone;
+        # the other seed still completes and writes its CSV
+        from congames import cli
+
+        real = cli.metrics_mod.compute_report
+        calls = []
+
+        def fails_first(trajectory, game):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("injected metrics fault")
+            return real(trajectory, game)
+
+        monkeypatch.setattr(cli.metrics_mod, "compute_report", fails_first)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_doc(seeds=[0, 1])))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--parallel", "1"]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["statuses"] == {"0": "error", "1": "completed"}
+        assert list(summary["errors"]) == ["0"]
+        error = summary["errors"]["0"]
+        assert error.startswith("Traceback") and "injected metrics fault" in error
+        assert list(summary["per_seed"]) == ["1"]
+        assert not (out / "rounds_seed0.csv").exists()
+        assert (out / "rounds_seed1.csv").read_text().count("\n") == 1 + 15
+
+    def test_single_action_game_file_is_config_error(self, tmp_path, capsys):
+        game = GameDefinition(
+            num_players=2, num_actions=1, num_contexts=2,
+            rewards=[np.zeros((1, 1, 2)), np.zeros((1, 1, 2))],
+            constraints=[np.zeros(0), np.zeros(0)],
+            reward_noise=[0.0, 0.0], constraint_noise=[[], []],
+        )
         game_path = tmp_path / "game.json"
-        config = parse_config(json.dumps(config_doc(seeds=[0])))
+        game_path.write_text(game.to_json())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_doc(game={"path": str(game_path)})))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: .game.path: {game_path}: num_actions must be at least 2\n"
+        )
+        assert not (out / "summary.json").exists()
+
+    def test_infeasible_context_game_file_is_config_error(self, tmp_path, capsys):
+        # player 1's (M, K, Z) table leaves no feasible action at context 1
+        config = parse_config(json.dumps(config_doc()))
         from congames.cli import _load_game
 
         game = _load_game(config, 0)
-        game.constraints[0][:] = 1.0  # player 0: everything infeasible
+        constraints = np.repeat(game.constraints[1][:, :, None], 2, axis=2)
+        constraints[:, :, 1] = 1.0
+        game.constraints[1] = constraints
+        game_path = tmp_path / "game.json"
         game_path.write_text(game.to_json())
-        doc["game"] = {"path": str(game_path)}
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(config_doc(game={"path": str(game_path)})))
         out = tmp_path / "out"
-        code = main(["run", str(path), "--out", str(out)])
-        summary = json.loads((out / "summary.json").read_text())
-        status = summary["statuses"]["0"]
-        assert status in ("error", "infeasibility_declared")
-        if status == "error":
-            assert code == 2
-            assert "0" in summary["errors"]
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: .game.path: {game_path}: player 1 has no feasible "
+            "action at context 1\n"
+        )
+        assert not (out / "summary.json").exists()
 
     def test_round_one_halt_is_a_status(self, monkeypatch, tmp_path):
         real = Player.select_action

@@ -415,15 +415,39 @@ class TestReport:
         players = [UniformPlayer(3, i) for i in range(2)]
         traj = run(game, players, uniform_finite_schedule(2, 30, seed=0), noise_seed=0)
         report = compute_report(traj, game)
-        assert report.status == "completed"
+        # the views run the report's own pass, so they agree bit for bit
         for i in range(2):
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 report.regret[i], constrained_regret(traj, game, i)
             )
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 report.violations[i], cumulative_violations(traj, game, i)
             )
-        assert report.cce_eps >= 0.0
+            assert report.best_policy[i] == best_feasible_policy(traj, game, i)
+        eps, terms = cce_epsilon(traj, game)
+        assert eps == report.cce_eps >= 0.0
+        assert terms["reward_gaps"] == report.cce_terms["reward_gaps"]
+        for i in range(2):
+            np.testing.assert_array_equal(
+                terms["violation_rates"][i], report.cce_terms["violation_rates"][i]
+            )
+
+    def test_one_feasibility_mask_per_player(self, monkeypatch):
+        game = generate_random_game(
+            2, num_players=3, num_actions=3, num_contexts=2, num_constraints=2
+        )
+        players = [UniformPlayer(3, i) for i in range(3)]
+        traj = run(game, players, uniform_finite_schedule(2, 30, seed=0), noise_seed=0)
+        calls = []
+        real = GameDefinition.feasible_actions
+
+        def counting(self, player, z=None):
+            calls.append(player)
+            return real(self, player, z)
+
+        monkeypatch.setattr(GameDefinition, "feasible_actions", counting)
+        compute_report(traj, game)
+        assert calls == [0, 1, 2]
 
     def test_zero_rounds(self):
         # a run halted in round 1: empty series, no policy, no equilibrium gap
