@@ -411,7 +411,7 @@ def _check_game_file(config: ExperimentConfig) -> game_mod.GameDefinition:
         if len(stranded):
             raise ConfigError(".game.path", f"{path}: player {i} has no "
                               f"feasible action at context {stranded[0]}")
-    check_game_shape(config, game.num_players, game.num_contexts)
+    check_game_shape(config, game.num_players, game.num_actions, game.num_contexts)
     return game
 
 

@@ -10,8 +10,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .kernels import KernelSpec, kernel_from_config
-from .strategy import ALGORITHMS, RANDOM
+import numpy as np
+
+from .kernels import KernelError, KernelSpec, diag, kernel_from_config
+from .strategy import ALGORITHMS, RANDOM, USES_CONSTRAINTS, USES_CONTEXT
 
 DEFAULT_DELTA = 0.1
 DEFAULT_NOISE_SCALE = 1.0
@@ -157,6 +159,9 @@ def _parse_player(obj: dict, path: str) -> PlayerBlock:
     for key in ("rkhs_bound", "noise_scale"):
         if not getattr(block, key) > 0.0:
             raise ConfigError(f"{path}.{key}", "must be positive")
+    # sigma^2 is the noise variance of every GP the player builds
+    if not 0.0 < block.noise_scale * block.noise_scale < math.inf:
+        raise ConfigError(f"{path}.noise_scale", "its square must be a positive finite number")
     # a negative scale turns the LCB feasibility filter into an upper bound
     if not block.beta_scale >= 0.0:
         raise ConfigError(f"{path}.beta_scale", "must be nonnegative")
@@ -242,7 +247,8 @@ def parse_config(text: str) -> ExperimentConfig:
         bound_checks=bound_checks,
     )
     if game.generate is not None:
-        check_game_shape(config, game.generate.num_players, game.generate.num_contexts)
+        params = game.generate
+        check_game_shape(config, params.num_players, params.num_actions, params.num_contexts)
     if schedule.mode == "fixed_sequence" and len(schedule.contexts) < T:
         raise ConfigError(
             ".context_schedule.contexts",
@@ -252,11 +258,39 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def check_game_shape(config: ExperimentConfig, num_players: int,
-                     num_contexts: int) -> None:
+                     num_actions: int, num_contexts: int) -> None:
     """Check the player blocks and the fixed context sequence against the
-    game's player count N and context count Z."""
+    game's player count N, action count K and context count Z.
+
+    A learner's kernels must fit its inputs, a joint action (then z, for
+    a contextual learner) for the reward and an own action for the
+    constraints, and be finite on them.  An action coordinate lies in
+    [0, K - 1] and a context in [0, Z - 1], and on that box each kernel
+    is largest at the far corner (a polynomial one too, as its bias and
+    the inputs are nonnegative), so its value there is the one checked."""
     if len(config.players) != num_players:
         raise ConfigError(".players", "player count must match the game")
+    for i, block in enumerate(config.players):
+        if block.algorithm == RANDOM:
+            continue
+        reward_corner = [num_actions - 1.0] * num_players
+        if USES_CONTEXT[block.algorithm]:
+            reward_corner.append(num_contexts - 1.0)
+        corners = {"reward_kernel": reward_corner}
+        if USES_CONSTRAINTS[block.algorithm]:
+            corners["constraint_kernel"] = [num_actions - 1.0]
+        for key, corner in corners.items():
+            kernel = getattr(block, key)
+            if kernel is None:
+                continue
+            path = f".players[{i}].{key}"
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = diag(kernel, [corner])[0]
+            except KernelError as exc:
+                raise ConfigError(path, f"{exc} of a {len(corner)}-coordinate input") from exc
+            if not math.isfinite(value):
+                raise ConfigError(path, f"is {value} at the game's input {corner}")
     for z in config.schedule.contexts:
         if not 0 <= z < num_contexts:
             raise ConfigError(

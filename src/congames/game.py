@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import numbers
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -36,6 +37,10 @@ from .kernels import (
 from .strategy import InfeasibilityDeclared, Player, UniformPlayer
 
 GENERATOR_SCHEME = "gp-posterior-mean-of-sampled-observations-v1"
+# the largest table value or noise scale a game may hold: noisy feedback,
+# a value plus a scale times a normal draw, and a learner's sums of it
+# then stay finite
+MAX_MAGNITUDE = 1e150
 
 
 @dataclass
@@ -98,8 +103,12 @@ class GameDefinition:
         declared N players, K actions and Z contexts: reward tables of
         shape (K,)*N + (Z,), constraint tables of shape (M, K) or (M, K, Z)
         with one M for all players (or empty, M=0), finite values, and
-        N reward and N x M constraint noise scales, all >= 0."""
+        N reward and N x M constraint noise scales, all >= 0.  Values and
+        scales are at most :data:`MAX_MAGNITUDE` in magnitude."""
         N, K, Z = self.num_players, self.num_actions, self.num_contexts
+        for name, count in (("num_players", N), ("num_actions", K), ("num_contexts", Z)):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if min(N, K, Z) < 1:
             raise ValueError("a game needs at least one player, action and context")
         if len(self.rewards) != N or len(self.constraints) != N:
@@ -126,6 +135,10 @@ class GameDefinition:
             for i, table in enumerate(tables):
                 if not np.isfinite(table).all():
                     raise ValueError(f"player {i}: {kind} table has non-finite values")
+                if table.size and np.abs(table).max() > MAX_MAGNITUDE:
+                    raise ValueError(
+                        f"player {i}: {kind} table has values beyond {MAX_MAGNITUDE:g}"
+                    )
         if len(self.reward_noise) != N or len(self.constraint_noise) != N or any(
             len(row) != M for row in self.constraint_noise
         ):
@@ -139,6 +152,8 @@ class GameDefinition:
         )
         if not (np.isfinite(scales) & (scales >= 0)).all():
             raise ValueError("noise scales must be finite and >= 0")
+        if (scales > MAX_MAGNITUDE).any():
+            raise ValueError(f"noise scales must be at most {MAX_MAGNITUDE:g}")
 
     def to_json(self) -> str:
         doc = {

@@ -38,17 +38,33 @@ the O(u^2) passes an eager rank-1 update makes over S.
   pending.  With r = (y - k'alpha) / piv, alpha gains -r b and the entry r.
   Only a pivot that breaks down gets a diagonal jitter, up to MAX_JITTER.
 
-A batch of queries with kernel columns K = k(U, X) has means K'alpha and
-variances k(x, x) - diag(K'SK) - sum_i c_i (V_i K)^2.  Queries match a dense
+A query row that is a training input, x = U_j, needs no kernel column:
+with D = diag(s2 / n_j + jitter_j), k(U, x) = (A - D) e_j, so
+
+    mean = ybar_j - D_jj alpha_j,    var = D_jj - D_jj^2 P_jj,
+
+where P_jj = S_jj + sum_i c_i V_ij^2 costs O(PENDING).  The other rows, with
+kernel columns K = k(U, X), have means K'alpha and variances
+k(x, x) - diag(K'SK) - sum_i c_i (V_i K)^2.  That dense query keeps K, K'S,
+V K, the prior variances and the means until the next observation, and a
+new input that was one of its rows reuses them: k is its column of K,
+b = P k is its row of K'S plus (c * (V k))' V, and its residual comes from
+its mean.  Nothing observed in between can have changed P or alpha, as
+every observation drops the kept query first.  A new input that was not
+queried runs the same dense query on its one row.  Queries match a dense
 solve over the full observation list to numerical precision, and so does
 the realized information gain 0.5 * logdet(I + K / s2), which is summed
 per observation and feeds the confidence-width schedule.
+
+Inputs are keyed by their bytes after adding 0.0, which turns -0.0 into
+0.0, so the two name one input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +78,22 @@ PENDING = 32
 
 class FactorizationError(RuntimeError):
     pass
+
+
+class _Query(NamedTuple):
+    """A dense query at rows X, none of them a training input: ``cols``
+    maps each row's key to its index, ``kt`` is k(U, X)', ``ks`` is
+    k(U, X)'S, ``g`` is V k(U, X) over the pending terms, and ``prior``,
+    ``means`` and ``var`` are the prior variances, posterior means and
+    posterior variances at the rows."""
+
+    cols: dict[bytes, int]
+    kt: np.ndarray
+    ks: np.ndarray
+    g: np.ndarray
+    prior: np.ndarray
+    means: np.ndarray
+    var: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,12 +129,13 @@ def beta(params: ConfidenceParams, info_gain_prev: float) -> float:
 class GpModel:
     """Kernel regression state answering posterior mean/std queries.
 
-    Mutated only by :meth:`add_observation`; queries are read-only.
+    Mutated only by :meth:`add_observation`; a query changes no result,
+    it only keeps its dense products for the next observation.
     """
 
     def __init__(self, kernel: KernelSpec, noise_variance: float):
-        if noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0.0 < noise_variance < math.inf:
+            raise ValueError("noise_variance must be positive and finite")
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.running_info_gain = 0.0
@@ -119,6 +152,8 @@ class GpModel:
         self._counts = np.zeros(0)
         self._sums = np.zeros(0)
         self._jitter = np.zeros(0)
+        # the last dense query since the last observation, or None
+        self._query: _Query | None = None
 
     @property
     def num_observations(self) -> int:
@@ -137,12 +172,13 @@ class GpModel:
     def add_observation(self, x, y: float) -> "GpModel":
         if not np.isfinite(y):
             raise ValueError("observation target must be finite")
-        x = np.asarray(x, dtype=float).ravel()
+        x = np.asarray(x, dtype=float).ravel() + 0.0
         if not np.isfinite(x).all():
             raise ValueError("observation input must be finite")
+        query, self._query = self._query, None
         j = self._row.get(x.tobytes())
         if j is None:
-            prev_var = self._add_input(x, float(y))
+            prev_var = self._add_input(x, float(y), query)
         else:
             prev_var = self._repeat_input(j, float(y))
         self.running_info_gain += 0.5 * math.log1p(
@@ -150,30 +186,30 @@ class GpModel:
         )
         return self
 
-    def _apply(self, vec: np.ndarray) -> np.ndarray:
-        """P vec, the pending terms included."""
-        u, k = self._size, self._pending
-        out = self._S[:u, :u] @ vec
-        if k:
-            V = self._V[:k, :u]
-            out += (self._c[:k] * (V @ vec)) @ V
-        return out
-
-    def _add_input(self, x: np.ndarray, y: float) -> float:
+    def _add_input(self, x: np.ndarray, y: float, query: _Query | None) -> float:
         """Border P with a new input; returns the posterior variance at x
-        before this observation, k(x, x) - k'P k."""
+        before this observation, k(x, x) - k'P k.  ``query`` is the dense
+        query made since the last observation, if any."""
         u = self._size
-        kxx = evaluate(self.kernel, x, x)
-        diag_entry = kxx + self.noise_variance
+        key = x.tobytes()
         if u:
-            kvec = cross(self.kernel, self._U[:u], x[None, :]).ravel()
-            b = self._apply(kvec)
+            if query is None or key not in query.cols:
+                query = self._dense(x[None, :], {key: 0})
+            col = query.cols[key]
+            kvec = query.kt[col]
+            b = query.ks[col]
+            k = self._pending
+            if k:
+                b = b + (self._c[:k] * query.g[:, col]) @ self._V[:k, :u]
+            kxx = query.prior[col]
             cc = kvec @ b
-            resid = y - kvec @ self._alpha[:u]
+            resid = y - query.means[col]
         else:
+            kxx = evaluate(self.kernel, x, x)
             b = np.zeros(0)
             cc = 0.0
             resid = y
+        diag_entry = kxx + self.noise_variance
         # jitter only a pivot that breaks down: a standing one would bias
         # the information gain by about jitter / noise per input
         jitter = 0.0
@@ -197,7 +233,7 @@ class GpModel:
         self._counts[u] = 1.0
         self._sums[u] = y
         self._jitter[u] = jitter
-        self._row[x.tobytes()] = u
+        self._row[key] = u
         self._size = u + 1
         if u:
             self._push(b, 1.0 / piv)
@@ -264,27 +300,61 @@ class GpModel:
                 for a in (self._alpha, self._counts, self._sums, self._jitter)
             )
 
+    def _dense(self, X: np.ndarray, cols: dict[bytes, int]) -> _Query:
+        """The dense posterior at the rows of X, none of them a training
+        input; ``cols`` maps each row's key to its index."""
+        u, k = self._size, self._pending
+        kmat = cross(self.kernel, self._U[:u], X)
+        kt = kmat.T
+        # K' on the left: BLAS runs K'S about twice as fast as S K here
+        ks = kt @ self._S[:u, :u]
+        quad = np.einsum("ij,ij->i", ks, kt)
+        g = self._V[:k, :u] @ kmat
+        if k:
+            quad += self._c[:k] @ (g * g)
+        prior = diag(self.kernel, X)
+        return _Query(cols, kt, ks, g, prior, kt @ self._alpha[:u], prior - quad)
+
+    def _closed(self, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and variances at the training inputs U_j."""
+        n = self._counts[j]
+        d = self.noise_variance / n + self._jitter[j]
+        p_jj = self._S[j, j]
+        k = self._pending
+        if k:
+            V = self._V[:k, j]
+            p_jj = p_jj + self._c[:k] @ (V * V)
+        return self._sums[j] / n - d * self._alpha[j], d - d * d * p_jj
+
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and stds at the rows of X."""
+        """Posterior means and stds at the rows of X: in closed form at
+        the training inputs, by one dense query, kept until the next
+        observation, at the others."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
         if not np.isfinite(X).all():
             raise ValueError("query inputs must be finite")
-        prior_var = diag(self.kernel, X)
-        u = self._size
-        if u == 0:
-            return np.zeros(len(X)), np.sqrt(np.maximum(prior_var, 0.0))
-        kmat = cross(self.kernel, self._U[:u], X)
-        kt = kmat.T
-        means = kt @ self._alpha[:u]
-        # K' on the left: BLAS runs K'S about twice as fast as S K here
-        quad = np.einsum("ij,ij->i", kt @ self._S[:u, :u], kt)
-        k = self._pending
-        if k:
-            g = self._V[:k, :u] @ kmat
-            quad += self._c[:k] @ (g * g)
-        return means, np.sqrt(np.maximum(prior_var - quad, 0.0))
+        if self._size == 0:
+            return np.zeros(len(X)), np.sqrt(np.maximum(diag(self.kernel, X), 0.0))
+        X = X + 0.0
+        keys = [x.tobytes() for x in X]
+        rows = [self._row.get(key, -1) for key in keys]
+        new = [i for i, j in enumerate(rows) if j < 0]
+        if not new:
+            means, var = self._closed(np.array(rows, dtype=np.intp))
+        else:
+            query = self._dense(X[new], {keys[i]: c for c, i in enumerate(new)})
+            self._query = query
+            if len(new) == len(rows):
+                # a copy: the kept means give the update its residual
+                means, var = query.means.copy(), query.var
+            else:
+                seen = [i for i, j in enumerate(rows) if j >= 0]
+                means, var = np.empty(len(rows)), np.empty(len(rows))
+                means[seen], var[seen] = self._closed(np.array([rows[i] for i in seen]))
+                means[new], var[new] = query.means, query.var
+        return means, np.sqrt(np.maximum(var, 0.0))
 
     def ucb_batch(self, X, beta_value: float) -> np.ndarray:
         means, stds = self.posterior_batch(X)

@@ -24,6 +24,9 @@ class SquaredExponential:
     def __post_init__(self):
         if self.lengthscale <= 0:
             raise KernelError("lengthscale must be positive")
+        # pairwise divides by 2 l^2, which must neither overflow nor vanish
+        if not 0.0 < self.lengthscale * self.lengthscale < math.inf:
+            raise KernelError("lengthscale squared must be a positive finite number")
 
     def pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         d2 = _sqdists(X, Y)
@@ -41,10 +44,14 @@ class Matern:
     def __post_init__(self):
         if self.lengthscale <= 0 or self.nu <= 0:
             raise KernelError("lengthscale and nu must be positive")
+        if not (math.isfinite(self.lengthscale) and math.isfinite(self.nu)):
+            raise KernelError("lengthscale and nu must be finite")
 
     def pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         s = np.sqrt(_sqdists(X, Y))
-        r = s * math.sqrt(2.0 * self.nu) / self.lengthscale
+        # exp(-r) is 0.0 from r = 746 on, so the cap changes no value, but
+        # keeps r^2 finite when a tiny lengthscale makes r overflow
+        r = np.minimum(s * math.sqrt(2.0 * self.nu) / self.lengthscale, 1e3)
         if self.nu == 0.5:
             return np.exp(-r)
         if self.nu == 1.5:
@@ -80,6 +87,8 @@ class Polynomial:
             raise KernelError("bias must be nonnegative")
         if self.lengthscale <= 0:
             raise KernelError("lengthscale must be positive")
+        if not (math.isfinite(self.bias) and math.isfinite(self.lengthscale)):
+            raise KernelError("bias and lengthscale must be finite")
         if self.degree < 1:
             raise KernelError("degree must be a positive integer")
 

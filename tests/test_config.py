@@ -198,6 +198,50 @@ class TestErrors:
         with pytest.raises(ConfigError, match=rf"^{where}: "):
             parse_config(base_config(**overrides))
 
+    @pytest.mark.parametrize("value", [1e-200, 1e200])
+    def test_noise_scale_square_must_be_positive_and_finite(self, value):
+        # sigma^2 is the GPs' noise variance: 1e-200 squares to 0, 1e200 to inf
+        with pytest.raises(ConfigError, match=r"\.players\[0\]\.noise_scale: its square"):
+            parse_config(base_config(players=[{"algorithm": "cz_ada_normal_gp",
+                                               "noise_scale": value}, {}]))
+
+    @pytest.mark.parametrize("algorithm, key, split, dim", [
+        # a contextual reward input is (a0, a1, z), a non-contextual one (a0, a1)
+        ("cz_ada_normal_gp", "reward_kernel", 3, 3),
+        ("gpmw", "reward_kernel", 2, 2),
+        ("c_ada_normal_gp", "constraint_kernel", 1, 1),
+    ])
+    def test_kernel_must_fit_the_inputs(self, algorithm, key, split, dim):
+        se = {"type": "squared_exponential", "lengthscale": 1.0}
+        kernel = {"type": "product", "left": se, "right": se, "split_index": split}
+        with pytest.raises(ConfigError, match=rf"\.players\[1\]\.{key}: .* of a "
+                                              rf"{dim}-coordinate input"):
+            parse_config(base_config(players=[{}, {"algorithm": algorithm, key: kernel}]))
+
+    def test_kernel_must_be_finite_on_the_inputs(self):
+        # (1e100 + a0 a1 + ... )^4 overflows at every input
+        kernel = {"type": "polynomial", "bias": 1e100, "degree": 4}
+        with pytest.raises(ConfigError, match=r"\.players\[1\]\.reward_kernel: is inf "
+                                              r"at the game's input \[2\.0, 2\.0, 1\.0\]"):
+            parse_config(base_config(players=[
+                {}, {"algorithm": "cz_ada_normal_gp", "reward_kernel": kernel}]))
+        kernel["bias"] = 1e70
+        parse_config(base_config(players=[
+            {}, {"algorithm": "cz_ada_normal_gp", "reward_kernel": kernel}]))
+
+    def test_fitting_product_kernel_accepted(self):
+        se = {"type": "squared_exponential", "lengthscale": 1.0}
+        kernel = {"type": "product", "left": se, "right": se, "split_index": 2}
+        config = parse_config(base_config(players=[
+            {}, {"algorithm": "cz_ada_normal_gp", "reward_kernel": kernel}]))
+        assert config.players[1].reward_kernel.split_index == 2
+
+    def test_unused_constraint_kernel_is_not_checked(self):
+        se = {"type": "squared_exponential", "lengthscale": 1.0}
+        kernel = {"type": "product", "left": se, "right": se, "split_index": 5}
+        parse_config(base_config(players=[{"algorithm": "z_gpmw",
+                                           "constraint_kernel": kernel}, {}]))
+
     def test_expert_rule_is_not_a_key(self):
         # the algorithm fixes the expert rule
         with pytest.raises(ConfigError, match=r"\.players\[0\]\.expert_rule: unknown key"):

@@ -113,6 +113,18 @@ class TestGameDefinition:
                      "noise scales must be finite and >= 0", id="negative-noise"),
         pytest.param(lambda d: d.__setitem__("num_contexts", 0),
                      "at least one player", id="no-contexts"),
+        pytest.param(lambda d: d["rewards"][0][0][0].__setitem__(1, 1e200),
+                     "player 0: reward table has values beyond 1e\\+150",
+                     id="huge-reward"),
+        pytest.param(lambda d: d["constraints"][1][0].__setitem__(0, -1e200),
+                     "player 1: constraint table has values beyond 1e\\+150",
+                     id="huge-constraint"),
+        pytest.param(lambda d: d["reward_noise"].__setitem__(0, 1e200),
+                     "noise scales must be at most 1e\\+150", id="huge-noise"),
+        pytest.param(lambda d: d.__setitem__("num_actions", 3.0),
+                     "num_actions must be an integer", id="float-count"),
+        pytest.param(lambda d: d.__setitem__("num_players", True),
+                     "num_players must be an integer", id="bool-count"),
     ])
     def test_malformed_game_rejected(self, edit, message):
         doc = json.loads(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congames import gp as gp_mod
 from congames.gp import PENDING, ConfidenceParams, FactorizationError, GpModel, beta
 from congames.kernels import (
     Matern,
@@ -155,6 +156,11 @@ class TestPosteriorOracle:
             (sm,), (ss,) = model.posterior_batch(q[None, :])
             assert m == pytest.approx(sm, abs=1e-12)
             assert s == pytest.approx(ss, abs=1e-12)
+
+    @pytest.mark.parametrize("noise", [0.0, -1.0, float("inf"), float("nan")])
+    def test_noise_variance_must_be_positive_and_finite(self, noise):
+        with pytest.raises(ValueError, match="noise_variance"):
+            GpModel(SquaredExponential(lengthscale=1.0), noise)
 
     def test_nonfinite_observation_rejected(self):
         model = GpModel(SquaredExponential(lengthscale=1.0), 1.0)
@@ -369,3 +375,187 @@ class TestConfidenceBounds:
         (mean,), (std,) = model.posterior_batch(X[:1])
         assert model.ucb_batch(X, b)[0] == pytest.approx(mean + b * std)
         assert model.lcb_batch(X, b)[0] == pytest.approx(mean - b * std)
+
+
+def one_solve_oracle(kernel, noise_variance, X, y, queries):
+    """Means and stds from one dense solve over all observations, for
+    observation lists too long to factor once per query row."""
+    K = gram(kernel, X) + noise_variance * np.eye(len(X))
+    kq = cross(kernel, X, queries)
+    sol = np.linalg.solve(K, np.column_stack([y, kq]))
+    means = kq.T @ sol[:, 0]
+    var = np.array([evaluate(kernel, q, q) for q in queries])
+    var -= np.einsum("ij,ij->j", kq, sol[:, 1:])
+    return means, np.sqrt(np.maximum(var, 0.0))
+
+
+def count_cross_calls(monkeypatch):
+    """Record, for each kernel-column evaluation a GpModel makes, its
+    number of columns."""
+    calls = []
+    real = gp_mod.cross
+
+    def counting(spec, X, Y):
+        calls.append(len(np.atleast_2d(Y)))
+        return real(spec, X, Y)
+
+    monkeypatch.setattr(gp_mod, "cross", counting)
+    return calls
+
+
+class TestClosedForm:
+    """Query rows that are training inputs take the closed form."""
+
+    KERNEL = SquaredExponential(lengthscale=1.0)
+
+    def test_heavily_repeated_inputs_against_dense_solve(self):
+        # 2400 observations on 6 inputs: the variance there is about
+        # s2 / n, which the dense form gets as a difference of O(1) terms
+        rng = np.random.default_rng(31)
+        noise = 0.05
+        grid = np.array([[0.0], [0.4], [0.9], [1.5], [2.0], [3.1]])
+        picks = rng.choice(6, size=2400, p=[0.4, 0.3, 0.15, 0.1, 0.04, 0.01])
+        X = grid[picks]
+        y = np.sin(X[:, 0]) + 0.2 * rng.normal(size=len(X))
+        model = GpModel(self.KERNEL, noise)
+        for xi, yi in zip(X, y):
+            model.add_observation(xi, yi)
+        assert model.num_distinct == 6
+        means, stds = model.posterior_batch(grid)
+        om, os = one_solve_oracle(self.KERNEL, noise, X, y, grid)
+        np.testing.assert_allclose(means, om, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(stds, os, rtol=0, atol=1e-9)
+        # the dense form of the same model at the same rows: its stds are
+        # several times further off; both means sit at the oracle's own
+        # rounding level, about 1e-13
+        dense = model._dense(grid, {})
+        dense_stds = np.sqrt(np.maximum(dense.var, 0.0))
+        assert np.abs(stds - os).max() <= np.abs(dense_stds - os).max()
+        assert np.abs(means - om).max() <= max(np.abs(dense.means - om).max(), 1e-12)
+
+    def test_mixed_batch_equals_row_by_row(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        kernel = Matern(lengthscale=0.8, nu=1.5)
+        model = GpModel(kernel, 0.2)
+        seen = rng.normal(size=(9, 2))
+        X = seen[rng.integers(9, size=60)]
+        y = rng.normal(size=60)
+        for xi, yi in zip(X, y):
+            model.add_observation(xi, yi)
+        unseen = rng.normal(size=(5, 2))
+        batch = np.vstack([seen[3], unseen[0], seen[0], unseen[1:4], seen[7], unseen[4]])
+        calls = count_cross_calls(monkeypatch)
+        means, stds = model.posterior_batch(batch)
+        assert calls == [5]  # one kernel evaluation, for the unseen rows only
+        for q, m, s in zip(batch, means, stds):
+            (qm,), (qs,) = model.posterior_batch(q[None, :])
+            assert m == pytest.approx(qm, rel=0, abs=1e-12)
+            assert s == pytest.approx(qs, rel=0, abs=1e-12)
+        om, os = dense_posterior(kernel, 0.2, X, y, batch)
+        np.testing.assert_allclose(means, om, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(stds, os, rtol=0, atol=1e-8)
+
+    def test_first_query_is_the_prior(self):
+        kernel = Polynomial(bias=1.0, lengthscale=2.0, degree=2)
+        model = GpModel(kernel, 0.5)
+        X = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
+        means, stds = model.posterior_batch(X)
+        np.testing.assert_array_equal(means, np.zeros(3))
+        np.testing.assert_allclose(stds, [math.sqrt(evaluate(kernel, x, x)) for x in X])
+
+    def test_empty_batch(self):
+        model = GpModel(self.KERNEL, 0.5)
+        model.add_observation([1.0, 2.0], 0.3)
+        means, stds = model.posterior_batch(np.zeros((0, 2)))
+        assert means.shape == (0,) and stds.shape == (0,)
+
+    def test_negative_zero_is_the_same_input(self):
+        model = GpModel(self.KERNEL, 0.5)
+        model.add_observation([0.0, 1.0], 1.0)
+        model.add_observation([-0.0, 1.0], 0.5)
+        assert model.num_distinct == 1 and model.num_observations == 2
+        plus, minus = model.posterior_batch(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+        assert plus[0] == plus[1] and minus[0] == minus[1]
+        X = np.array([[0.0, 1.0], [0.0, 1.0]])
+        om, os = dense_posterior(self.KERNEL, 0.5, X, np.array([1.0, 0.5]), X[:1])
+        assert plus[0] == pytest.approx(om[0], abs=1e-12)
+        assert minus[0] == pytest.approx(os[0], abs=1e-12)
+
+
+class TestStoredQuery:
+    """A new input reuses the products of the query made since the last
+    observation, and never those of an older one."""
+
+    KERNEL = SquaredExponential(lengthscale=1.0)
+    NOISE = 0.1
+
+    def history(self, pending):
+        """Observations on a 1-d grid that leave ``pending`` terms waiting."""
+        rng = np.random.default_rng(33)
+        X, y = [], []
+        model = GpModel(self.KERNEL, self.NOISE)
+        while len(X) < 40 or model._pending != pending:
+            X.append([0.3 * int(rng.integers(12))])
+            y.append(float(rng.normal()))
+            model.add_observation(X[-1], y[-1])
+        return X, y
+
+    def fitted(self, X, y):
+        model = GpModel(self.KERNEL, self.NOISE)
+        for xi, yi in zip(X, y):
+            model.add_observation(xi, yi)
+        return model
+
+    def check(self, model, X, y):
+        grid = np.linspace(-1.0, 5.0, 13)[:, None]
+        means, stds, gain = grouped_oracle(self.KERNEL, self.NOISE, np.array(X),
+                                           np.array(y), grid)
+        got_means, got_stds = model.posterior_batch(grid)
+        np.testing.assert_allclose(got_means, means, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(got_stds, stds, rtol=0, atol=1e-8)
+        assert model.running_info_gain == pytest.approx(gain, rel=0, abs=1e-8)
+
+    @pytest.mark.parametrize("pending", [0, 5, PENDING - 1])
+    def test_update_after_query_matches_a_model_that_never_queried(
+            self, monkeypatch, pending):
+        X, y = self.history(pending)
+        queried, twin = self.fitted(X, y), self.fitted(X, y)
+        batch = np.array([[0.6], [4.1], [0.0], [3.7]])  # 4.1 and 3.7 are new
+        queried.posterior_batch(batch)
+        calls = count_cross_calls(monkeypatch)
+        queried.add_observation(batch[1], 0.8)
+        assert calls == []  # the update took the query's kernel column
+        twin.add_observation(batch[1], 0.8)
+        assert calls == [1]
+        grid = np.linspace(-1.0, 5.0, 13)[:, None]
+        for got, want in zip(queried.posterior_batch(grid), twin.posterior_batch(grid)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert queried.running_info_gain == pytest.approx(
+            twin.running_info_gain, rel=0, abs=1e-12
+        )
+        self.check(queried, X + [[4.1]], y + [0.8])
+
+    @pytest.mark.parametrize("pending", [0, PENDING - 2, PENDING - 1])
+    def test_query_is_dropped_by_any_observation(self, monkeypatch, pending):
+        # with PENDING - 1 terms waiting the first update folds them into S;
+        # with PENDING - 2 the second one does
+        X, y = self.history(pending)
+        model = self.fitted(X, y)
+        batch = np.array([[4.1], [3.7]])
+        model.posterior_batch(batch)
+        calls = count_cross_calls(monkeypatch)
+        model.add_observation([5.0], -0.2)  # new, but not in the query
+        model.add_observation(batch[0], 0.8)
+        assert calls == [1, 1]  # each new input evaluated its own column
+        self.check(model, X + [[5.0], [4.1]], y + [-0.2, 0.8])
+
+    def test_repeat_drops_the_query(self, monkeypatch):
+        X, y = self.history(PENDING - 1)
+        model = self.fitted(X, y)
+        batch = np.array([[4.1]])
+        model.posterior_batch(batch)
+        calls = count_cross_calls(monkeypatch)
+        model.add_observation(X[0], 0.1)  # a repeat, which folds
+        model.add_observation(batch[0], 0.8)
+        assert calls == [1]
+        self.check(model, X + [X[0], [4.1]], y + [0.1, 0.8])

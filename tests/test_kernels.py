@@ -105,6 +105,18 @@ class TestEvaluateOracles:
             x = np.array([0.4, 1.0])
             assert evaluate(spec, x, x) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.7])
+    def test_matern_far_apart_is_zero_not_nan(self, nu):
+        # a tiny lengthscale makes r overflow, and r^2 with it
+        C = cross(Matern(lengthscale=1e-200, nu=nu), [[0.0], [1.0]], [[0.0], [1.0]])
+        np.testing.assert_array_equal(C, np.eye(2))
+
+    def test_matern_cap_changes_no_value(self):
+        s = np.linspace(0.0, 800.0, 4001)
+        r = s * math.sqrt(5.0)
+        got = Matern(lengthscale=1.0, nu=2.5).pairwise(s[:, None], np.zeros((1, 1)))
+        np.testing.assert_array_equal(got[:, 0], (1.0 + r + r**2 / 3.0) * np.exp(-r))
+
     def test_dimension_mismatch(self):
         with pytest.raises(KernelError):
             evaluate(SquaredExponential(lengthscale=1.0), [0.0], [0.0, 1.0])
@@ -178,6 +190,20 @@ class TestConfigRoundtrip:
     def test_unknown_type(self):
         with pytest.raises(KernelError):
             kernel_from_config({"type": "laplacian"})
+
+    @pytest.mark.parametrize("make", [
+        lambda: SquaredExponential(lengthscale=1e200),  # 2 l^2 overflows
+        lambda: SquaredExponential(lengthscale=1e-200),  # 2 l^2 vanishes
+        lambda: SquaredExponential(lengthscale=float("nan")),
+        lambda: Matern(lengthscale=float("nan"), nu=1.5),
+        lambda: Matern(lengthscale=1.0, nu=float("inf")),
+        lambda: Polynomial(bias=float("inf"), lengthscale=1.0, degree=2),
+        lambda: Polynomial(bias=1.0, lengthscale=float("nan"), degree=2),
+    ], ids=["se-huge", "se-tiny", "se-nan", "matern-nan-lengthscale", "matern-inf-nu",
+            "polynomial-inf-bias", "polynomial-nan-lengthscale"])
+    def test_non_finite_params(self, make):
+        with pytest.raises(KernelError):
+            make()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

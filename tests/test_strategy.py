@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from congames import experts
+from congames import gp as gp_mod
 from congames.cli import build_player
 from congames.config import PlayerBlock
 from congames.game import generate_random_game, run, uniform_finite_schedule
@@ -437,3 +438,45 @@ class TestAwakeQueries:
                 pairs = [(state.log_weights, ref.log_weights)]
             for got, want in pairs:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestOnePosteriorPerRound:
+    """Each model of a learner evaluates kernel columns at most once per
+    round: the query at training inputs needs none, and a new input's
+    update reuses the round's query."""
+
+    def test_cross_at_most_once_per_model_and_round(self, monkeypatch):
+        game = generate_random_game(0, num_players=3, num_actions=7, num_contexts=5)
+        blocks = [PlayerBlock(algorithm=CZ_ADA_NORMAL_GP, beta_scale=0.15),
+                  PlayerBlock(), PlayerBlock()]
+        players = [build_player(b, game, i, 10 + i) for i, b in enumerate(blocks)]
+        learner = players[0]
+        models = [learner.reward_gp, *learner.constraint_gps]
+        counts = []
+        real_cross = gp_mod.cross
+
+        def counting(spec, X, Y):
+            owner, = [k for k, m in enumerate(models) if np.shares_memory(X, m._U)]
+            counts[-1][owner] += 1
+            return real_cross(spec, X, Y)
+
+        real_select = learner.select_action
+
+        def select(z):
+            counts.append([0] * len(models))
+            return real_select(z)
+
+        monkeypatch.setattr(gp_mod, "cross", counting)
+        learner.select_action = select
+        trajectory = run(game, players, uniform_finite_schedule(5, 120, 1), noise_seed=2)
+        assert trajectory.status == "completed"
+        counts = np.array(counts)
+        assert counts.shape == (120, 2)
+        assert counts.max() == 1
+        # the reward model met a new input in most rounds and evaluated
+        # columns in each of them; the constraint model, once it has seen
+        # all 7 actions, queries every one in closed form
+        assert learner.reward_gp.num_distinct > 60
+        assert counts[:, 0].sum() >= learner.reward_gp.num_distinct - 1
+        assert learner.constraint_gps[0].num_distinct == 7
+        assert counts[-60:, 1].sum() == 0
