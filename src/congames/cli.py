@@ -258,9 +258,7 @@ def run_seed(
                 T=max(trajectory.num_rounds, 1),
                 confidence=player.config.confidence,
                 reward_info_gain=player.reward_gp.running_info_gain,
-                constraint_info_gains=[
-                    gp.running_info_gain for gp in player.constraint_gps
-                ],
+                constraint_info_gains=player.constraint_info_gains(),
                 expert_magnitudes=player.router.magnitudes(),
             )
             bounds[str(i)] = {

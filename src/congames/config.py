@@ -1,7 +1,8 @@
 """Experiment configuration: strict JSON parsing with defaults.
 
-Unknown keys are rejected and every error names the offending path, so a
-misspelled field fails loudly instead of silently running defaults.
+Unknown and repeated keys are rejected and every error names the
+offending path, so a misspelled or doubled field fails loudly instead of
+silently running defaults or the last value given.
 """
 
 from __future__ import annotations
@@ -24,6 +25,29 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+# the value of a key that a JSON object gives more than once
+_REPEATED = object()
+
+
+def _json_object(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        obj[key] = _REPEATED if key in obj else value
+    return obj
+
+
+def _reject_repeats(value, path: str) -> None:
+    """Raise on a key given twice in any object of the document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if item is _REPEATED:
+                raise ConfigError(f"{path}.{key}", "given more than once")
+            _reject_repeats(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_repeats(item, f"{path}[{i}]")
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
@@ -116,9 +140,11 @@ def _parse_generator(obj: dict, path: str) -> GeneratorParams:
         "feasible_quantile",
     }
     _require_keys(obj, allowed, set(), path)
-    params = GeneratorParams()
+    params, keys = GeneratorParams(), {}
     for key, value in obj.items():
         name = _SHORTHANDS.get(key, key)
+        if keys.setdefault(name, key) != key:
+            raise ConfigError(f"{path}.{key}", f"sets {name} again, after {keys[name]}")
         if name in _GENERATOR_COUNTS:
             _integer(value, f"{path}.{key}", _GENERATOR_COUNTS[name])
         else:
@@ -170,9 +196,10 @@ def _parse_player(obj: dict, path: str) -> PlayerBlock:
 
 def parse_config(text: str) -> ExperimentConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc
+    _reject_repeats(doc, "")
     if not isinstance(doc, dict):
         raise ConfigError("", "top level must be an object")
     allowed = {

@@ -58,6 +58,11 @@ per observation and feeds the confidence-width schedule.
 
 Inputs are keyed by their bytes after adding 0.0, which turns -0.0 into
 0.0, so the two name one input.
+
+A model built with ``outputs=(M,)`` takes M targets per input: P, the
+jitter and the information gain are shared, and the sums, alpha and means
+gain a trailing target axis, updated elementwise and queried one column of
+alpha at a time, so each target gets bit for bit a one-target model's values.
 """
 
 from __future__ import annotations
@@ -84,8 +89,8 @@ class _Query(NamedTuple):
     """A dense query at rows X, none of them a training input: ``cols``
     maps each row's key to its index, ``kt`` is k(U, X)', ``ks`` is
     k(U, X)'S, ``g`` is V k(U, X) over the pending terms, and ``prior``,
-    ``means`` and ``var`` are the prior variances, posterior means and
-    posterior variances at the rows."""
+    ``means`` and ``var`` are the prior variances, posterior means (one
+    column per target) and posterior variances at the rows."""
 
     cols: dict[bytes, int]
     kt: np.ndarray
@@ -98,7 +103,7 @@ class _Query(NamedTuple):
 
 @dataclass(frozen=True)
 class ConfidenceParams:
-    """Inputs to the confidence-width schedule for one unknown function."""
+    """Inputs to the confidence-width schedule: B, sigma, delta and the game's M."""
 
     rkhs_bound: float
     noise_scale: float
@@ -129,15 +134,17 @@ def beta(params: ConfidenceParams, info_gain_prev: float) -> float:
 class GpModel:
     """Kernel regression state answering posterior mean/std queries.
 
-    Mutated only by :meth:`add_observation`; a query changes no result,
-    it only keeps its dense products for the next observation.
+    ``outputs`` is the shape of one target, ``()`` or ``(M,)``.  Mutated
+    only by :meth:`add_observation`; a query changes no result, it only
+    keeps its dense products for the next observation.
     """
 
-    def __init__(self, kernel: KernelSpec, noise_variance: float):
+    def __init__(self, kernel: KernelSpec, noise_variance: float, outputs=()):
         if not 0.0 < noise_variance < math.inf:
             raise ValueError("noise_variance must be positive and finite")
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
+        self.outputs = tuple(outputs)
         self.running_info_gain = 0.0
         # distinct inputs, rows 0..size-1 of preallocated buffers; P = A^-1
         # is the (size, size) head of S plus the first `pending` rows of V
@@ -148,9 +155,9 @@ class GpModel:
         self._S = np.zeros((0, 0))
         self._V = np.zeros((PENDING, 0))
         self._c = np.zeros(PENDING)
-        self._alpha = np.zeros(0)
+        self._alpha = np.zeros((0, *self.outputs))
         self._counts = np.zeros(0)
-        self._sums = np.zeros(0)
+        self._sums = np.zeros((0, *self.outputs))
         self._jitter = np.zeros(0)
         # the last dense query since the last observation, or None
         self._query: _Query | None = None
@@ -169,24 +176,25 @@ class GpModel:
         """The distinct inputs, one row each, in order of first observation."""
         return self._U[:self._size].copy()
 
-    def add_observation(self, x, y: float) -> "GpModel":
-        if not np.isfinite(y):
-            raise ValueError("observation target must be finite")
+    def add_observation(self, x, y) -> "GpModel":
+        y = np.asarray(y, dtype=float)[()]  # one target: a scalar, for cheap arithmetic
+        if y.shape != self.outputs or not np.isfinite(y).all():
+            raise ValueError(f"observation target must be finite, of shape {self.outputs}")
         x = np.asarray(x, dtype=float).ravel() + 0.0
         if not np.isfinite(x).all():
             raise ValueError("observation input must be finite")
         query, self._query = self._query, None
         j = self._row.get(x.tobytes())
         if j is None:
-            prev_var = self._add_input(x, float(y), query)
+            prev_var = self._add_input(x, y, query)
         else:
-            prev_var = self._repeat_input(j, float(y))
+            prev_var = self._repeat_input(j, y)
         self.running_info_gain += 0.5 * math.log1p(
             max(prev_var, 0.0) / self.noise_variance
         )
         return self
 
-    def _add_input(self, x: np.ndarray, y: float, query: _Query | None) -> float:
+    def _add_input(self, x: np.ndarray, y, query: _Query | None) -> float:
         """Border P with a new input; returns the posterior variance at x
         before this observation, k(x, x) - k'P k.  ``query`` is the dense
         query made since the last observation, if any."""
@@ -227,7 +235,7 @@ class GpModel:
         self._S[:u, u] = border
         self._S[u, u] = 1.0 / piv
         r = resid / piv
-        self._alpha[:u] -= r * b
+        self._alpha[:u] -= np.multiply.outer(b, r)
         self._alpha[u] = r
         self._U[u] = x
         self._counts[u] = 1.0
@@ -239,7 +247,7 @@ class GpModel:
             self._push(b, 1.0 / piv)
         return kxx - cc
 
-    def _repeat_input(self, j: int, y: float) -> float:
+    def _repeat_input(self, j: int, y) -> float:
         """Sherman-Morrison update for the lowered noise term of input j;
         returns the posterior variance at that input before this observation.
 
@@ -261,7 +269,8 @@ class GpModel:
             raise FactorizationError("Sherman-Morrison update of a repeated input broke down")
         s = delta / rho
         d_ybar = (self._sums[j] + y) / (n + 1.0) - self._sums[j] / n
-        self._alpha[:u] += (s * self._alpha[j] + (1.0 + s * p_jj) * d_ybar) * p
+        coef = s * self._alpha[j] + (1.0 + s * p_jj) * d_ybar
+        self._alpha[:u] += np.multiply.outer(p, coef)
         self._counts[j] = n + 1.0
         self._sums[j] += y
         self._push(p, s)
@@ -296,7 +305,7 @@ class GpModel:
             self._V = V
             self._U = np.concatenate([self._U.reshape(-1, dim), np.zeros((cap - u, dim))])
             self._alpha, self._counts, self._sums, self._jitter = (
-                np.concatenate([a, np.zeros(cap - u)])
+                np.concatenate([a, np.zeros((cap - u, *a.shape[1:]))])
                 for a in (self._alpha, self._counts, self._sums, self._jitter)
             )
 
@@ -313,7 +322,10 @@ class GpModel:
         if k:
             quad += self._c[:k] @ (g * g)
         prior = diag(self.kernel, X)
-        return _Query(cols, kt, ks, g, prior, kt @ self._alpha[:u], prior - quad)
+        # a product per contiguous column: a strided one or a gemm may round otherwise
+        alpha = self._alpha[:u]
+        means = np.column_stack([kt @ a.copy() for a in alpha.T]) if self.outputs else kt @ alpha
+        return _Query(cols, kt, ks, g, prior, means, prior - quad)
 
     def _closed(self, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at the training inputs U_j."""
@@ -324,19 +336,20 @@ class GpModel:
         if k:
             V = self._V[:k, j]
             p_jj = p_jj + self._c[:k] @ (V * V)
-        return self._sums[j] / n - d * self._alpha[j], d - d * d * p_jj
+        return (self._sums[j].T / n - d * self._alpha[j].T).T, d - d * d * p_jj
 
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and stds at the rows of X: in closed form at
-        the training inputs, by one dense query, kept until the next
-        observation, at the others."""
+        """Posterior means ``(n, *outputs)`` and stds ``(n,)`` at the n rows
+        of X: in closed form at the training inputs, by one dense query,
+        kept until the next observation, at the others."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
         if not np.isfinite(X).all():
             raise ValueError("query inputs must be finite")
         if self._size == 0:
-            return np.zeros(len(X)), np.sqrt(np.maximum(diag(self.kernel, X), 0.0))
+            stds = np.sqrt(np.maximum(diag(self.kernel, X), 0.0))
+            return np.zeros((len(X), *self.outputs)), stds
         X = X + 0.0
         keys = [x.tobytes() for x in X]
         rows = [self._row.get(key, -1) for key in keys]
@@ -351,15 +364,15 @@ class GpModel:
                 means, var = query.means.copy(), query.var
             else:
                 seen = [i for i, j in enumerate(rows) if j >= 0]
-                means, var = np.empty(len(rows)), np.empty(len(rows))
+                means, var = np.empty((len(rows), *self.outputs)), np.empty(len(rows))
                 means[seen], var[seen] = self._closed(np.array([rows[i] for i in seen]))
                 means[new], var[new] = query.means, query.var
         return means, np.sqrt(np.maximum(var, 0.0))
 
     def ucb_batch(self, X, beta_value: float) -> np.ndarray:
         means, stds = self.posterior_batch(X)
-        return means + beta_value * stds
+        return (means.T + beta_value * stds).T
 
     def lcb_batch(self, X, beta_value: float) -> np.ndarray:
         means, stds = self.posterior_batch(X)
-        return means - beta_value * stds
+        return (means.T - beta_value * stds).T

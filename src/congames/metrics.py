@@ -153,8 +153,9 @@ def theorem_bounds(
 ) -> tuple[float, list[float]]:
     """Explicit high-probability regret and violation bound values.
 
-    ``confidence`` sets beta for the reward and every constraint model,
-    and its delta the martingale term.  ``expert_magnitudes`` holds the
+    ``constraint_info_gains`` holds one gain per constraint, each giving a
+    violation bound; ``confidence`` sets beta for every model, and its
+    delta the martingale term.  ``expert_magnitudes`` holds the
     realized per-context cumulative magnitude vectors; when omitted the
     horizon-based cap on the weight-spread term B, 5/2 + 3/2 * log(1+T),
     is used instead.

@@ -1,8 +1,10 @@
 """Learners for repeated contextual games with unknown constraints.
 
-A :class:`Player` owns one reward GP over (joint action, context), M
-constraint GPs over its own action, a context router holding one expert
-state per context bucket, and a seeded RNG.  A round is two calls:
+A :class:`Player` owns one reward GP over (joint action, context), one
+constraint GP over its own action with the M constraints as target
+columns (they share kernel, noise and inputs, hence the posterior
+covariance), a context router holding one expert state per context
+bucket, and a seeded RNG.  A round is two calls:
 :meth:`Player.select_action` opens it (route the context, predict the
 bucket's expert distribution, filter actions through constraint LCBs,
 sample from the renormalized distribution) and keeps what it computed in
@@ -81,8 +83,8 @@ def renormalize(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
 @dataclass
 class PlayerConfig:
     """One value per setting: ``confidence`` (B, sigma, delta and the
-    game's M) serves the reward model and each of the M constraint
-    models, whose kernel is ``constraint_kernel``; sigma^2 is their noise."""
+    game's M) serves the reward model and the M-target constraint model,
+    whose kernel is ``constraint_kernel``; sigma^2 is their noise."""
 
     player_index: int
     num_actions: int
@@ -216,15 +218,16 @@ class Player:
         self.round: tuple | None = None
         noise_variance = config.confidence.noise_scale**2
         self.reward_gp = GpModel(config.reward_kernel, noise_variance)
-        num_models = config.num_constraints if config.uses_constraints else 0
-        self.constraint_gps = [
-            GpModel(config.constraint_kernel, noise_variance) for _ in range(num_models)
-        ]
+        # one model with M target columns, or none: a list, as benchmark probes iterate it
+        M = config.num_constraints if config.uses_constraints else 0
+        self.constraint_gps = (
+            [GpModel(config.constraint_kernel, noise_variance, (M,))] if M else []
+        )
         self.router = ContextRouter(
             config.num_contexts, config.num_actions, config.expert_rule,
             config.uses_context,
         )
-        # the constraint models' inputs: every own action, one row each
+        # the constraint model's inputs: every own action, one row each
         self._action_grid = np.arange(config.num_actions, dtype=float)[:, None]
 
     # -- per-function confidence widths ------------------------------------
@@ -234,10 +237,14 @@ class Player:
             self.config.confidence, self.reward_gp.running_info_gain
         )
 
-    def constraint_beta(self, m: int) -> float:
+    def constraint_beta(self) -> float:
         return self.config.beta_scale * beta(
-            self.config.confidence, self.constraint_gps[m].running_info_gain
+            self.config.confidence, self.constraint_gps[0].running_info_gain
         )
+
+    def constraint_info_gains(self) -> list[float]:
+        """The M constraints' information gains, all the one model's."""
+        return [gp.running_info_gain for gp in self.constraint_gps] * self.config.num_constraints
 
     # -- round interface ----------------------------------------------------
 
@@ -259,11 +266,10 @@ class Player:
         return rows
 
     def feasible_mask(self, z) -> np.ndarray:
-        mask = np.ones(self.config.num_actions, dtype=bool)
-        for m, gp_m in enumerate(self.constraint_gps):
-            lcbs = gp_m.lcb_batch(self._action_grid, self.constraint_beta(m))
-            mask &= lcbs <= 0.0
-        return mask
+        if not self.constraint_gps:
+            return np.ones(self.config.num_actions, dtype=bool)
+        lcbs = self.constraint_gps[0].lcb_batch(self._action_grid, self.constraint_beta())
+        return (lcbs <= 0.0).all(axis=1)
 
     def select_action(self, z) -> int:
         """Open a round: sample a feasible action for context z.
@@ -318,7 +324,5 @@ class Player:
         # append observations after the expert update so estimates above
         # used the pre-round posterior
         self.reward_gp.add_observation(candidates[row], noisy_reward)
-        for m, gp_m in enumerate(self.constraint_gps):
-            gp_m.add_observation(
-                self._constraint_input(own_action, z), noisy_constraints[m]
-            )
+        for gp in self.constraint_gps:
+            gp.add_observation(self._constraint_input(own_action, z), noisy_constraints)

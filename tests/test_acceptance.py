@@ -114,9 +114,7 @@ def _run_one(args):
             T=T,
             confidence=learner.config.confidence,
             reward_info_gain=learner.reward_gp.running_info_gain,
-            constraint_info_gains=[
-                g.running_info_gain for g in learner.constraint_gps
-            ],
+            constraint_info_gains=learner.constraint_info_gains(),
             expert_magnitudes=magnitudes,
         )
         out["regret_bound"] = regret_bound

@@ -17,7 +17,7 @@ import pytest
 from congames.cli import build_player
 from congames.config import PlayerBlock
 from congames.game import generate_random_game, run, uniform_finite_schedule
-from congames.strategy import ALGORITHMS, RANDOM, USES_CONTEXT
+from congames.strategy import ALGORITHMS, RANDOM, USES_CONSTRAINTS, USES_CONTEXT
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,10 +55,19 @@ def one_pass(monkeypatch):
             sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_properties_read_built_players(one_pass, algorithm):
+# M = 0 leaves a learner no constraint model and M = 2 gives it one with
+# two target columns; the M = 1 cases keep their bare algorithm ids
+CELLS = [(algorithm, M) for M in (1, 0, 2) for algorithm in ALGORITHMS]
+
+
+@pytest.mark.parametrize(
+    "algorithm, num_constraints", CELLS,
+    ids=[a if M == 1 else f"{a}-M{M}" for a, M in CELLS],
+)
+def test_properties_read_built_players(one_pass, algorithm, num_constraints):
     # a T=5 cell of the algorithm against a random player, built as the CLI does
-    game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
+    game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2,
+                                num_constraints=num_constraints)
     blocks = [PlayerBlock(algorithm=algorithm, beta_scale=0.2), PlayerBlock()]
     players = [build_player(b, game, i, 10 + i) for i, b in enumerate(blocks)]
     contexts = uniform_finite_schedule(2, 5, seed=1)
@@ -74,5 +83,11 @@ def test_properties_read_built_players(one_pass, algorithm):
     assert props["gp.max_obs"] == 5
     assert props["gp.factor_mb"] > 0.0
     assert 0.0 <= props["gp.reward.repeat_share"] < 1.0
+    # 5 rounds on 3 actions repeat one: a share of 0 means no model was read
+    constraint_share = props["gp.constraint.repeat_share"]
+    if num_constraints and USES_CONSTRAINTS[algorithm]:
+        assert 0.0 < constraint_share < 1.0
+    else:
+        assert constraint_share == 0.0
     buckets = len(set(contexts)) if USES_CONTEXT[algorithm] else 1
     assert props["strategy.buckets"] == buckets

@@ -498,15 +498,18 @@ class TestBuildPlayer:
         1, num_players=2, num_actions=3, num_contexts=2, num_constraints=2
     )
 
-    @pytest.mark.parametrize("algorithm, constraint_models", [
+    @pytest.mark.parametrize("algorithm, constraint_targets", [
         (CZ_ADA_NORMAL_GP, 2), (C_ADA_NORMAL_GP, 2), (Z_GPMW, 0), (GPMW, 0),
     ])
-    def test_one_confidence_block(self, algorithm, constraint_models):
+    def test_one_confidence_block(self, algorithm, constraint_targets):
         block = PlayerBlock(algorithm=algorithm, noise_scale=0.5, delta=0.05,
                             rkhs_bound=2.0)
         player = build_player(block, self.GAME, 0, seed=3)
         assert player.reward_gp.noise_variance == 0.5**2
-        assert len(player.constraint_gps) == constraint_models
+        assert player.reward_gp.outputs == ()
+        # one model carries the M constraints as target columns
+        assert [gp.outputs for gp in player.constraint_gps] == (
+            [(constraint_targets,)] if constraint_targets else [])
         for gp in player.constraint_gps:
             assert gp.noise_variance == 0.5**2
             assert gp.kernel == player.config.constraint_kernel

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from congames.cli import main
 from congames.config import ConfigError, GeneratorParams, parse_config
 from congames.game import generate_random_game
 from congames.kernels import SquaredExponential
@@ -260,3 +261,38 @@ class TestErrors:
     def test_not_json(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")
+
+
+class TestRepeatedKeys:
+    """A key given twice, or a field set under two names, is an error at
+    its path, not a silent last-value-wins."""
+
+    @pytest.mark.parametrize("text, where", [
+        ('{"game": {"generate": {}}, "T": 5, "T": 50}', r"\.T"),
+        ('{"game": {"generate": {"K": 3, "K": 3}}, "T": 5}', r"\.game\.generate\.K"),
+        ('{"game": {"generate": {}, "generate": {}}, "T": 5}', r"\.game\.generate"),
+        ('{"game": {"generate": {"num_players": 2}}, "T": 5, "players": '
+         '[{}, {"beta_scale": 1, "beta_scale": 0.5}]}', r"\.players\[1\]\.beta_scale"),
+        ('{"game": {"generate": {"num_players": 2}}, "T": 5, "players": [{"algorithm": '
+         '"z_gpmw", "reward_kernel": {"type": "squared_exponential", "lengthscale": 1, '
+         '"lengthscale": 2}}, {}]}', r"\.players\[0\]\.reward_kernel\.lengthscale"),
+    ], ids=["top", "generator", "block", "player", "kernel"])
+    def test_key_given_twice(self, text, where):
+        with pytest.raises(ConfigError, match=rf"^{where}: given more than once$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("first, second", [
+        ("K", "num_actions"), ("num_actions", "K"),
+        ("Z", "num_contexts"), ("num_contexts", "Z"),
+    ])
+    def test_field_set_under_two_names(self, first, second):
+        text = json.dumps({"game": {"generate": {first: 5, second: 7}}, "T": 5})
+        with pytest.raises(ConfigError, match=rf"^\.game\.generate\.{second}: sets "):
+            parse_config(text)
+
+    def test_run_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"game": {"generate": {}}, "T": 5, "T": 50}')
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert ".T: given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

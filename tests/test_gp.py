@@ -559,3 +559,86 @@ class TestStoredQuery:
         model.add_observation(batch[0], 0.8)
         assert calls == [1]
         self.check(model, X + [X[0], [4.1]], y + [0.1, 0.8])
+
+
+@st.composite
+def target_column_cases(draw):
+    """A kernel, a noise level, M targets, a grid of 17 to 40 inputs and a
+    seed for the observation order, the targets and the query batches."""
+    kernel = draw(st.sampled_from(ORACLE_KERNELS))
+    dim = kernel.split_index + 1 if isinstance(kernel, Product) else 2
+    point = st.tuples(*[st.integers(0, 6)] * dim)
+    grid = 0.5 * np.array(
+        draw(st.lists(point, min_size=17, max_size=40, unique=True)), dtype=float
+    )
+    return (kernel, draw(st.floats(1e-3, 2.0)), draw(st.integers(2, 4)), grid,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestTargetColumns:
+    """A model with M target columns gives each target bit for bit what
+    a one-target model fed that target alone gives: the same means, the
+    same stds and the same information gain, through new inputs,
+    repeats, queries kept for the next update, folds and doublings."""
+
+    def play(self, kernel, noise, M, grid, seed, num_obs=120):
+        """Feed one M-target model and M one-target models the same
+        observations, querying all of them between some; returns the
+        shared model, after comparing every query and the final state."""
+        rng = np.random.default_rng(seed)
+        shared = GpModel(kernel, noise, outputs=(M,))
+        singles = [GpModel(kernel, noise) for _ in range(M)]
+        for t in range(num_obs):
+            if rng.random() < 0.4:
+                # seen and unseen grid rows, and an input off the grid
+                rows = grid[rng.integers(len(grid), size=rng.integers(1, 7))]
+                batch = np.vstack([rows, rows[:1] + 0.25])
+                means, stds = shared.posterior_batch(batch)
+                assert means.shape == (len(batch), M) and stds.shape == (len(batch),)
+                lcbs = shared.lcb_batch(batch, 1.7)
+                for m, single in enumerate(singles):
+                    m_means, m_stds = single.posterior_batch(batch)
+                    np.testing.assert_array_equal(means[:, m], m_means)
+                    np.testing.assert_array_equal(stds, m_stds)
+                    np.testing.assert_array_equal(lcbs[:, m], single.lcb_batch(batch, 1.7))
+            # favour inputs seen before, so that repeats are common; the
+            # input is sometimes the off-grid row just queried
+            x = grid[rng.integers(min(len(grid), 3 + t // 2))]
+            if rng.random() < 0.1:
+                x = x + 0.25
+            y = rng.normal(size=M)
+            shared.add_observation(x, y)
+            for m, single in enumerate(singles):
+                single.add_observation(x, y[m])
+        for m, single in enumerate(singles):
+            assert shared.running_info_gain == single.running_info_gain
+            np.testing.assert_array_equal(shared._S, single._S)
+            np.testing.assert_array_equal(shared._alpha[:, m], single._alpha)
+            for got, want in zip(shared.posterior_batch(grid), single.posterior_batch(grid)):
+                np.testing.assert_array_equal(got if got.ndim == 1 else got[:, m], want)
+        return shared
+
+    @given(target_column_cases())
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    def test_bit_equal_to_one_model_per_target(self, case):
+        self.play(*case)
+
+    def test_cases_reach_folds_and_doublings(self):
+        # one long fixed case: more than 32 distinct inputs (two doublings
+        # of the buffers) and six folds
+        grid = 0.5 * np.argwhere(np.ones((7, 6)))
+        shared = self.play(SquaredExponential(lengthscale=1.0), 0.1, 3, grid, 5,
+                           num_obs=200)
+        assert shared.num_distinct > 32 and shared.num_observations == 200
+        assert shared._S.shape == (64, 64)
+
+    def test_target_shape_is_checked(self):
+        model = GpModel(SquaredExponential(lengthscale=1.0), 1.0, outputs=(2,))
+        for y in (1.0, [1.0], [1.0, 2.0, 3.0], [1.0, float("nan")]):
+            with pytest.raises(ValueError, match="shape"):
+                model.add_observation([0.0], y)
+        assert model.num_observations == 0
+        means, stds = model.posterior_batch([[0.0], [1.0]])
+        assert means.shape == (2, 2) and stds.shape == (2,)
+        model.add_observation([0.0], [1.0, -1.0])
+        assert model.num_observations == 1

@@ -1,6 +1,7 @@
 """``congames run`` on mutated game files and configs either runs or exits 1.
 
-A small valid game document and config are mutated: counts, table
+A small valid game document, with one constraint or two, and a config
+are mutated: counts, table
 shapes, ragged lists, 0-d tables, NaN, +-inf, huge and tiny values, N or
 K at 1, noise lists, player settings, kernels, schedules and the horizon.
 Each case runs ``main(["run", ...])`` in process at T <= 3 with one
@@ -34,6 +35,13 @@ GAME = {
     "constraint_noise": [[0.1], [0.1]],
     "metadata": {},
 }
+# two constraints per player: learners build one model with two targets
+GAME_M2 = {
+    **GAME,
+    "constraints": [[[-0.5, 0.3], [-0.2, 0.1]], [[0.2, -0.1], [-0.3, -0.4]]],
+    "constraint_noise": [[0.1, 0.1], [0.1, 0.1]],
+}
+BASE_GAMES = st.sampled_from([GAME, GAME_M2])
 CONFIG = {
     "T": 3,
     "seeds": [0],
@@ -94,7 +102,7 @@ def _poke(doc, key, draw, new, leaf=False):
 
 @st.composite
 def game_documents(draw):
-    doc = copy.deepcopy(GAME)
+    doc = copy.deepcopy(draw(BASE_GAMES))
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(
             ["count", "leaf", "ragged", "wrap", "drop_key", "noise", "players",
@@ -204,12 +212,20 @@ def test_mutated_game_file_runs_or_exits_1(game_doc, algorithm):
 
 
 @FUZZ
-@given(configs())
-def test_mutated_config_runs_or_exits_1(config):
-    check_exit(GAME, config)
+@given(configs(), BASE_GAMES)
+def test_mutated_config_runs_or_exits_1(config, game_doc):
+    check_exit(game_doc, config)
 
 
 def test_base_documents_run():
     code, text = run_case(GAME, CONFIG)
     assert code == 0
     assert json.loads(text)["statuses"] == {"0": "completed"}
+
+
+def test_two_constraint_base_runs():
+    code, text = run_case(GAME_M2, CONFIG)
+    assert code == 0
+    summary = json.loads(text)
+    assert summary["statuses"] == {"0": "completed"}
+    assert len(summary["per_seed"]["0"]["bounds"]["0"]["violation_bounds"]) == 2

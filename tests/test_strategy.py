@@ -182,8 +182,8 @@ class TestPlayer:
         # train the constraint GP hard at action 0 with positive values
         player = Player(make_config(beta_scale=0.01))
         for _ in range(50):
-            player.constraint_gps[0].add_observation(np.array([0.0]), 1.0)
-            player.constraint_gps[0].add_observation(np.array([2.0]), -1.0)
+            player.constraint_gps[0].add_observation(np.array([0.0]), [1.0])
+            player.constraint_gps[0].add_observation(np.array([2.0]), [-1.0])
         mask = player.feasible_mask(0)
         assert not mask[0]
         assert mask[2]
@@ -192,7 +192,7 @@ class TestPlayer:
         player = Player(make_config(beta_scale=0.01))
         for a in range(3):
             for _ in range(50):
-                player.constraint_gps[0].add_observation(np.array([float(a)]), 1.0)
+                player.constraint_gps[0].add_observation(np.array([float(a)]), [1.0])
         with pytest.raises(InfeasibilityDeclared):
             player.select_action(0)
         assert player.infeasible
@@ -255,8 +255,8 @@ class TestRoundMask:
     def trained_player():
         player = Player(make_config(beta_scale=0.01))
         for _ in range(30):
-            player.constraint_gps[0].add_observation(np.array([0.0]), 1.0)
-            player.constraint_gps[0].add_observation(np.array([2.0]), -1.0)
+            player.constraint_gps[0].add_observation(np.array([0.0]), [1.0])
+            player.constraint_gps[0].add_observation(np.array([2.0]), [-1.0])
         return player
 
     @staticmethod
@@ -294,7 +294,7 @@ class TestRoundMask:
         # constraint data arriving after select_action changes the filter,
         # but the update uses what the action was sampled from
         for _ in range(30):
-            player.constraint_gps[0].add_observation(np.array([1.0]), 1.0)
+            player.constraint_gps[0].add_observation(np.array([1.0]), [1.0])
         assert not player.feasible_mask(3)[1]
         player.observe_feedback(2, (0,), 0.5, [-0.5])
         assert len(seen) == 1
@@ -385,9 +385,9 @@ class TestAwakeQueries:
             ucbs = self.reward_gp.ucb_batch(rows, self.reward_beta())
             self.router.update(bucket, mask, ucbs, p, pbar)
             self.reward_gp.add_observation(rows[own_action], noisy_reward)
-            for m, gp_m in enumerate(self.constraint_gps):
-                gp_m.add_observation(
-                    self._constraint_input(own_action, z), noisy_constraints[m]
+            for gp in self.constraint_gps:
+                gp.add_observation(
+                    self._constraint_input(own_action, z), noisy_constraints
                 )
 
     @staticmethod
@@ -480,3 +480,61 @@ class TestOnePosteriorPerRound:
         assert counts[:, 0].sum() >= learner.reward_gp.num_distinct - 1
         assert learner.constraint_gps[0].num_distinct == 7
         assert counts[-60:, 1].sum() == 0
+
+
+class TestOneConstraintModel:
+    """A constraint-aware learner keeps its M constraints in one model
+    with M target columns, queried once and fed once per round."""
+
+    @pytest.mark.parametrize("M", [0, 1, 3])
+    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != RANDOM])
+    def test_one_model_one_query_one_update_per_round(self, monkeypatch, algorithm, M):
+        built = []
+        real_init = GpModel.__init__
+
+        def init(self, *args, **kw):
+            built.append(self)
+            real_init(self, *args, **kw)
+
+        game = generate_random_game(3, num_players=2, num_actions=4, num_contexts=2,
+                                    num_constraints=M, feasible_quantile=0.7)
+        monkeypatch.setattr(GpModel, "__init__", init)
+        blocks = [PlayerBlock(algorithm=algorithm, beta_scale=0.5), PlayerBlock()]
+        players = [build_player(b, game, i, 10 + i) for i, b in enumerate(blocks)]
+        learner = players[0]
+        expected = 1 if M and algorithm in (CZ_ADA_NORMAL_GP, C_ADA_NORMAL_GP) else 0
+        assert built == [learner.reward_gp, *learner.constraint_gps]
+        assert [gp.outputs for gp in learner.constraint_gps] == [(M,)] * expected
+
+        calls = []
+        for gp in learner.constraint_gps:
+            for name in ("posterior_batch", "add_observation"):
+                real = getattr(gp, name)
+
+                def counted(*args, real=real, name=name):
+                    calls[-1].append(name)
+                    return real(*args)
+
+                monkeypatch.setattr(gp, name, counted)
+        real_select = learner.select_action
+
+        def select(z):
+            calls.append([])
+            return real_select(z)
+
+        learner.select_action = select
+        trajectory = run(game, players, uniform_finite_schedule(2, 40, 1), noise_seed=2)
+        assert trajectory.status == "completed"
+        assert calls == [["posterior_batch", "add_observation"] * expected] * 40
+        assert learner.constraint_info_gains() == (
+            [learner.constraint_gps[0].running_info_gain] * M if expected else [])
+
+    def test_feasibility_needs_every_constraint(self):
+        # constraint 1 is violated at action 0 and constraint 0 at action 2
+        player = Player(make_config(num_constraints=2, beta_scale=0.01))
+        model, = player.constraint_gps
+        for _ in range(50):
+            model.add_observation([0.0], [-1.0, 1.0])
+            model.add_observation([1.0], [-1.0, -1.0])
+            model.add_observation([2.0], [1.0, -1.0])
+        assert player.feasible_mask(0).tolist() == [False, True, False]
