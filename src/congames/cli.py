@@ -8,7 +8,9 @@ Subcommands::
 
 Outputs are deterministic under a fixed config: per-seed per-round CSVs,
 an aggregate ``summary.json``, and a metadata stamp.  Numbers are written
-with 12 significant digits.
+with 12 significant digits.  Each seed's CSV is written as its result
+arrives, and ``summary.json`` is encoded piece by piece into a temporary
+file that replaces it once complete.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
 import os
 import sys
 import traceback
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -84,19 +87,19 @@ def worker_pool(max_workers: int) -> Iterator[ProcessPoolExecutor]:
                 os.environ[name] = value
 
 
-def _float_items(values: list, newline: str) -> str:
-    """The items of a JSON array of floats, each rounded to 12 significant
-    digits as ``float(format(x, ".12g"))`` rounds it, written as ``json``
-    writes them.  If all are finite and each nonzero |x| is in [1e-300,
-    1e11), the ``%.12g`` text is the repr of the rounded value once
-    integral tokens (``3``, ``-0``) get their ``.0``: a decimal of at most
-    15 (DBL_DIG) digits parses to a double whose repr has those digits,
-    and both formats take an exponent below 1e-4.  The guard keeps out
-    subnormals (``4.94065645841e-324``, repr ``5e-324``) and values that
-    round to 1e12 (``1e+12``); other lists are parsed back by numpy and
-    written by the C encoder."""
-    text = ("%.12g," * len(values))[:-1] % tuple(values)
-    magnitudes = np.abs(np.array(values))
+def _float_items(values: np.ndarray, newline: str) -> str:
+    """The items of a JSON array of the 1-D float array ``values``, each
+    rounded to 12 significant digits as ``float(format(x, ".12g"))``
+    rounds it, written as ``json`` writes them.  If all are finite and
+    each nonzero |x| is in [1e-300, 1e11), the ``%.12g`` text is the repr
+    of the rounded value once integral tokens (``3``, ``-0``) get their
+    ``.0``: a decimal of at most 15 (DBL_DIG) digits parses to a double
+    whose repr has those digits, and both formats take an exponent below
+    1e-4.  The guard keeps out subnormals (``4.94065645841e-324``, repr
+    ``5e-324``) and values that round to 1e12 (``1e+12``); other arrays
+    are parsed back by numpy and written by the C encoder."""
+    text = ("%.12g," * len(values))[:-1] % tuple(values.tolist())
+    magnitudes = np.abs(values)
     if np.all((magnitudes < 1e11) & ((magnitudes >= 1e-300) | (magnitudes == 0.0))):
         return ("," + newline).join([
             token if "." in token or "e" in token else token + ".0"
@@ -119,54 +122,64 @@ def _json_key(key) -> str:
     return json.dumps(key)
 
 
-def _encode(obj, newline: str, out: list[str]) -> None:
+def _encode(obj, newline: str, write: Callable[[str], object]) -> None:
+    """Pass the JSON text of ``obj`` to ``write`` in pieces: a key, a
+    scalar, or a whole list of floats; ``newline`` is the line break and
+    indent of the enclosing level."""
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(sep + _json_key(key) + ": ")
-            _encode(value, inner, out)
+            write(sep + _json_key(key) + ": ")
+            _encode(value, inner, write)
             sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = obj.ravel().astype(float).tolist() if isinstance(obj, np.ndarray) else obj
-        if not items:
-            out.append("[]")
+        write(newline + "}")
+    elif isinstance(obj, np.ndarray):
+        if not obj.size:
+            write("[]")
             return
         inner = newline + "  "
-        if all(isinstance(v, float) for v in items):
-            out.append("[" + inner + _float_items(items, inner) + newline + "]")
+        values = obj.ravel().astype(float)
+        write("[" + inner + _float_items(values, inner) + newline + "]")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        if all(isinstance(v, float) for v in obj):
+            write("[" + inner + _float_items(np.array(obj), inner) + newline + "]")
             return
         sep = "[" + inner
-        for value in items:
-            out.append(sep)
-            _encode(value, inner, out)
+        for value in obj:
+            write(sep)
+            _encode(value, inner, write)
             sep = "," + inner
-        out.append(newline + "]")
+        write(newline + "]")
     elif isinstance(obj, (float, np.floating)):
-        out.append(json.dumps(float(format(float(obj), ".12g"))))
+        write(json.dumps(float(format(float(obj), ".12g"))))
     elif isinstance(obj, np.integer):
-        out.append(json.dumps(int(obj)))
+        write(json.dumps(int(obj)))
     else:
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
 
 
 def json_text(obj) -> str:
-    """``obj`` as the indented, key-sorted JSON text of ``summary.json``.
+    """``obj`` as the indented, key-sorted JSON text of ``summary.json``:
+    the pieces :func:`_encode` writes, joined.
 
     Floats, numpy ones included, are rounded to 12 significant digits,
     numpy arrays are written as flat lists of floats, tuples as lists and
     numpy integers as ints.  The text is byte for byte what CPython's
     ``json.dumps(obj, indent=2, sort_keys=True)`` writes for the rounded
-    object, but an indent turns off the C encoder, so here each list of
-    floats is rounded and written in one piece (:func:`_float_items`) and
-    indented by a join.
+    object, but an indent turns off the C encoder, so here each list or
+    array of floats is rounded and written in one piece
+    (:func:`_float_items`) and indented by a join.
     """
     out: list[str] = []
-    _encode(obj, "\n", out)
+    _encode(obj, "\n", out.append)
     return "".join(out)
 
 
@@ -318,21 +331,36 @@ def _write_seed_csv(out_dir: Path, result: dict) -> None:
 
 
 def _aggregate(results: list[dict], T: int) -> dict:
+    """Across-seed means and stds of the complete seeds' curves: a 1-D
+    array per player, and per player and constraint for violations."""
     complete = [r for r in results if r.get("status") == "completed" and r["num_rounds"] == T]
     agg: dict = {"num_complete": len(complete)}
     if complete:
         num_players = complete[0]["num_players"]
         regret = np.array([r["regret"] for r in complete])  # (S, N, T)
-        agg["mean_regret"] = regret.mean(axis=0).tolist()
-        agg["std_regret"] = regret.std(axis=0).tolist()
+        agg["mean_regret"] = list(regret.mean(axis=0))
+        agg["std_regret"] = list(regret.std(axis=0))
         viols = np.array([r["violations"] for r in complete])  # (S, N, M, T)
-        agg["mean_violations"] = viols.mean(axis=0).tolist()
-        agg["std_violations"] = viols.std(axis=0).tolist()
+        agg["mean_violations"] = [list(player) for player in viols.mean(axis=0)]
+        agg["std_violations"] = [list(player) for player in viols.std(axis=0)]
         agg["mean_final_regret"] = [
             float(np.mean([r["final_regret"][i] for r in complete]))
             for i in range(num_players)
         ]
     return agg
+
+
+def _write_summary(out_dir: Path, summary: dict) -> None:
+    """Write ``summary.json`` as :func:`_encode` produces it, through a
+    temporary sibling that replaces it only once the text is complete."""
+    tmp = out_dir / "summary.json.tmp"
+    try:
+        with tmp.open("w") as fh:
+            _encode(summary, "\n", fh.write)
+        os.replace(tmp, out_dir / "summary.json")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def run_experiment(
@@ -344,29 +372,31 @@ def run_experiment(
     """Run all seeds, write outputs, and return the process exit code.
 
     ``game``, the config's game file loaded once, is played by every seed.
-    With ``parallel > 1`` the seeds run in a :func:`worker_pool`.
+    With ``parallel > 1`` the seeds run in a :func:`worker_pool`.  Each
+    seed's CSV is written as its result arrives, in seed order, and its
+    per-round rows are then dropped; ``summary.json`` is written last.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = config.seeds
     results: list[dict] = []
     failures: dict[int, str] = {}
-    if parallel > 1:
-        with worker_pool(parallel) as pool:
-            futures = {s: pool.submit(run_seed, config, s, game) for s in seeds}
-            for s, future in futures.items():
-                try:
-                    results.append(future.result())
-                except Exception:
-                    failures[s] = traceback.format_exc()
-    else:
-        for s in seeds:
+    with ExitStack() as stack:
+        # per seed, a call that returns its result or raises its error
+        if parallel > 1:
+            pool = stack.enter_context(worker_pool(parallel))
+            calls = [(s, pool.submit(run_seed, config, s, game).result)
+                     for s in config.seeds]
+        else:
+            calls = [(s, functools.partial(run_seed, config, s, game))
+                     for s in config.seeds]
+        for s, call in calls:
             try:
-                results.append(run_seed(config, s, game))
+                result = call()
             except Exception:
                 failures[s] = traceback.format_exc()
-
-    for result in results:
-        _write_seed_csv(out_dir, result)
+                continue
+            _write_seed_csv(out_dir, result)
+            del result["rows"]
+            results.append(result)
 
     summary = {
         "statuses": {
@@ -379,7 +409,7 @@ def run_experiment(
         },
         "aggregate": _aggregate(results, config.T),
     }
-    (out_dir / "summary.json").write_text(json_text(summary))
+    _write_summary(out_dir, summary)
     return 2 if failures else 0
 
 

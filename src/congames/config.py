@@ -50,6 +50,14 @@ def _reject_repeats(value, path: str) -> None:
             _reject_repeats(item, f"{path}[{i}]")
 
 
+def parse_json(text: str):
+    """``json.loads(text)`` that raises ``ConfigError``, naming the path,
+    on a key given twice in any object, where ``json`` keeps the last."""
+    doc = json.loads(text, object_pairs_hook=_json_object)
+    _reject_repeats(doc, "")
+    return doc
+
+
 def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be an object")
@@ -196,10 +204,9 @@ def _parse_player(obj: dict, path: str) -> PlayerBlock:
 
 def parse_config(text: str) -> ExperimentConfig:
     try:
-        doc = json.loads(text, object_pairs_hook=_json_object)
+        doc = parse_json(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc
-    _reject_repeats(doc, "")
     if not isinstance(doc, dict):
         raise ConfigError("", "top level must be an object")
     allowed = {

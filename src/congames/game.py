@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import parse_json
 from .gp import FactorizationError
 from .kernels import (
     KernelSpec,
@@ -170,7 +171,9 @@ class GameDefinition:
 
     @classmethod
     def from_json(cls, text: str) -> "GameDefinition":
-        doc = json.loads(text)
+        """Parse and validate a game file; a key given twice in any object
+        raises ``ConfigError``, a ``ValueError``, naming it."""
+        doc = parse_json(text)
         game = cls(
             num_players=doc["num_players"],
             num_actions=doc["num_actions"],
@@ -363,6 +366,9 @@ def generate_random_game(
         on_contexts = cross(k_r.right, contexts, X[:, num_players:])
         k_grid = on_joint[:, None, :] * on_contexts[None, :, :]
         values = k_grid.reshape(len(grid), -1) @ alpha
+        # the (K^N, Z, S) grid kernel is the generator's largest array:
+        # free it before the next player's is built
+        del k_grid
         lo, hi = values.min(), values.max()
         if hi - lo < 1e-12:
             values = np.full_like(values, 0.5)

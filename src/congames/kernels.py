@@ -181,14 +181,30 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
+# the keys each kernel tag takes besides "type"
+_KERNEL_KEYS = {
+    "squared_exponential": {"lengthscale"},
+    "matern": {"lengthscale", "nu"},
+    "polynomial": {"bias", "lengthscale", "degree"},
+    "product": {"left", "right", "split_index"},
+}
+
+
 def kernel_from_config(obj: dict) -> KernelSpec:
     """Build a kernel from a tagged config object.
 
-    Recognized tags: squared_exponential, matern, polynomial, product.
+    Recognized tags: squared_exponential, matern, polynomial, product.  A
+    key the tag does not take raises ``KernelError``, so a misspelled
+    parameter is not silently left at its default.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise KernelError("kernel config must be an object with a 'type' tag")
     tag = obj["type"]
+    if not isinstance(tag, str) or tag not in _KERNEL_KEYS:
+        raise KernelError(f"unknown kernel type {tag!r}")
+    unknown = sorted(set(obj) - _KERNEL_KEYS[tag] - {"type"})
+    if unknown:
+        raise KernelError(f"unknown key {unknown[0]!r} for kernel type {tag!r}")
     if tag == "squared_exponential":
         return SquaredExponential(lengthscale=float(obj["lengthscale"]))
     if tag == "matern":
@@ -199,13 +215,11 @@ def kernel_from_config(obj: dict) -> KernelSpec:
             lengthscale=float(obj.get("lengthscale", 1.0)),
             degree=int(obj["degree"]),
         )
-    if tag == "product":
-        return Product(
-            left=kernel_from_config(obj["left"]),
-            right=kernel_from_config(obj["right"]),
-            split_index=int(obj["split_index"]),
-        )
-    raise KernelError(f"unknown kernel type {tag!r}")
+    return Product(
+        left=kernel_from_config(obj["left"]),
+        right=kernel_from_config(obj["right"]),
+        split_index=int(obj["split_index"]),
+    )
 
 
 def kernel_to_config(spec: KernelSpec) -> dict:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,7 +134,11 @@ class TestRunCommand:
             "mode": "fixed_sequence", "contexts": ["a"]}),
          ".context_schedule.contexts[0]"),
         (lambda d: d.update(T=True), ".T"),
-    ], ids=["string-K", "string-delta", "int-player", "string-context", "bool-T"])
+        (lambda d: d["players"][0].update(reward_kernel={
+            "type": "squared_exponential", "lengthscale": 1.0, "lengthscal": 9}),
+         ".players[0].reward_kernel"),
+    ], ids=["string-K", "string-delta", "int-player", "string-context", "bool-T",
+            "kernel-typo"])
     def test_wrong_type_is_config_error(self, tmp_path, capsys, edit, where):
         doc = config_doc(seeds=[0])
         edit(doc)
@@ -148,7 +153,8 @@ class TestRunCommand:
         (None, "No such file"),
         ("{not json", "Expecting property name"),
         ('{"num_players": 2}', "missing key 'num_actions'"),
-    ], ids=["missing", "not-json", "missing-key"])
+        ('{"num_players": 2, "num_players": 3}', ".num_players: given more than once"),
+    ], ids=["missing", "not-json", "missing-key", "repeated-key"])
     def test_bad_game_file_is_config_error(self, tmp_path, capsys, text, message):
         game_path = tmp_path / "game.json"
         if text is not None:
@@ -159,6 +165,26 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: .game.path: ") and message in err
+        assert not (out / "summary.json").exists()
+
+    def test_repeated_key_in_a_valid_game_file(self, tmp_path, capsys):
+        # json keeps the last value, which here would load a valid game
+        config = parse_config(json.dumps(config_doc()))
+        from congames.cli import _load_game
+
+        text = _load_game(config, 0).to_json()
+        assert '\n  "num_contexts": 2,\n' in text
+        game_path = tmp_path / "game.json"
+        game_path.write_text(text.replace(
+            '\n  "num_contexts": 2,\n', '\n  "num_contexts": 5,\n  "num_contexts": 2,\n'
+        ))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_doc(game={"path": str(game_path)})))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: .game.path: {game_path}: .num_contexts: given more than once\n"
+        )
         assert not (out / "summary.json").exists()
 
     def test_game_file_player_count_checked(self, tmp_path, capsys):
@@ -220,9 +246,51 @@ class TestRunCommand:
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
         main(["run", str(config_path), "--out", str(out1)])
         main(["run", str(config_path), "--out", str(out2), "--parallel", "2"])
-        assert (out1 / "summary.json").read_bytes() == (
-            out2 / "summary.json"
-        ).read_bytes()
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == ["metadata.json", "rounds_seed0.csv", "rounds_seed1.csv",
+                         "summary.json"]
+        assert sorted(p.name for p in out2.iterdir()) == names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_output_memory_does_not_hold_the_curves(self, tmp_path):
+        # three random players, T=20000, two seeds: the curves of every
+        # seed as Python floats, or summary.json's text whole, would take
+        # the traced peak to about 25 MB
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "game": {"generate": {"num_players": 3, "K": 7, "Z": 5}},
+            "T": 20000, "seeds": [0, 10], "players": [{"algorithm": "random"}] * 3,
+        }))
+        tracemalloc.start()
+        try:
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert len(summary["aggregate"]["mean_violations"][2][0]) == 20000
+
+    def test_summary_replaced_only_when_complete(self, config_path, tmp_path,
+                                                 monkeypatch):
+        from congames import cli
+
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 0
+        before = (out / "summary.json").read_bytes()
+
+        def fails(values, newline):
+            raise RuntimeError("injected encoding fault")
+
+        monkeypatch.setattr(cli, "_float_items", fails)
+        for target in (out, tmp_path / "fresh"):
+            with pytest.raises(RuntimeError, match="injected encoding fault"):
+                main(["run", str(config_path), "--out", str(target)])
+            assert not (target / "summary.json.tmp").exists()
+        # a failed write leaves the last complete summary, or none
+        assert (out / "summary.json").read_bytes() == before
+        assert not (tmp_path / "fresh" / "summary.json").exists()
 
     def test_game_file_parsed_once_for_all_seeds(self, monkeypatch, tmp_path):
         config = parse_config(json.dumps(config_doc()))

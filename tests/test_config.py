@@ -258,6 +258,14 @@ class TestErrors:
         with pytest.raises(ConfigError):
             parse_config(base_config(players=[{"lr": 0.1}, {}]))
 
+    def test_unknown_kernel_key(self):
+        kernel = {"type": "squared_exponential", "lengthscale": 1.0,
+                  "lengthscal": 9, "nu": 3}
+        with pytest.raises(ConfigError, match=r"^\.players\[1\]\.reward_kernel: unknown "
+                           r"key 'lengthscal' for kernel type 'squared_exponential'$"):
+            parse_config(base_config(players=[
+                {}, {"algorithm": "cz_ada_normal_gp", "reward_kernel": kernel}]))
+
     def test_not_json(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")

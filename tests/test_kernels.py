@@ -1,10 +1,16 @@
 """Kernel oracle tests: closed-form hand values and double-loop gram oracle."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from congames.game import (
+    default_constraint_kernel,
+    default_reward_kernel,
+    generate_random_game,
+)
 from congames.kernels import (
     KernelError,
     Matern,
@@ -190,6 +196,28 @@ class TestConfigRoundtrip:
     def test_unknown_type(self):
         with pytest.raises(KernelError):
             kernel_from_config({"type": "laplacian"})
+
+    def test_generated_game_kernels_roundtrip(self):
+        game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
+        metadata = json.loads(game.to_json())["metadata"]
+        for key, spec in (("reward_kernel", default_reward_kernel(2)),
+                          ("constraint_kernel", default_constraint_kernel())):
+            assert kernel_from_config(metadata[key]) == spec
+            assert kernel_to_config(spec) == metadata[key]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_unknown_key(self, spec):
+        obj = kernel_to_config(spec) | {"lengthscal": 9}
+        with pytest.raises(KernelError, match=r"^unknown key 'lengthscal' for kernel "
+                           rf"type '{obj['type']}'$"):
+            kernel_from_config(obj)
+
+    def test_unknown_key_in_a_factor(self):
+        se = {"type": "squared_exponential", "lengthscale": 1.0}
+        obj = {"type": "product", "left": se, "right": se | {"nu": 3},
+               "split_index": 1}
+        with pytest.raises(KernelError, match="unknown key 'nu'"):
+            kernel_from_config(obj)
 
     @pytest.mark.parametrize("make", [
         lambda: SquaredExponential(lengthscale=1e200),  # 2 l^2 overflows
