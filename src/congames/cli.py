@@ -423,22 +423,14 @@ def _metadata_stamp(config_text: str, config: ExperimentConfig) -> dict:
 
 
 def _check_game_file(config: ExperimentConfig) -> game_mod.GameDefinition:
-    """Read and validate the config's game file: ``congames run`` reads it
-    once, before any seed runs, and every seed plays the game returned."""
+    """Read the config's game file, which ``from_json`` checks, and check the
+    game against the config: ``congames run`` reads it once, before any
+    seed runs, and every seed plays the game returned."""
     path = config.game.path
     try:
         game = game_mod.GameDefinition.from_json(Path(path).read_text())
-    except KeyError as exc:
-        raise ConfigError(".game.path", f"{path}: missing key {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(".game.path", f"{path}: {exc}") from exc
-    if game.num_actions < 2:
-        raise ConfigError(".game.path", f"{path}: num_actions must be at least 2")
-    for i in range(game.num_players):
-        stranded = np.flatnonzero(~game.feasible_actions(i).any(axis=1))
-        if len(stranded):
-            raise ConfigError(".game.path", f"{path}: player {i} has no "
-                              f"feasible action at context {stranded[0]}")
     check_game_shape(config, game.num_players, game.num_actions, game.num_contexts)
     return game
 

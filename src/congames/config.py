@@ -64,7 +64,7 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}", "unknown key")
-    for key in required:
+    for key in sorted(required):  # a set's order changes with the hash seed
         if key not in obj:
             raise ConfigError(f"{path}.{key}", "missing required key")
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import parse_json
+from .config import _number, _require_keys, parse_json
 from .gp import FactorizationError
 from .kernels import (
     KernelSpec,
@@ -92,26 +92,21 @@ class GameDefinition:
         mask = np.all(self.constraint_grid(player) <= 0.0, axis=0).T
         return mask if z is None else mask[z]
 
-    def check_feasible(self) -> bool:
-        """Every (player, context) admits at least one feasible action."""
-        return all(
-            self.feasible_actions(i).any(axis=1).all()
-            for i in range(self.num_players)
-        )
-
     def validate(self) -> None:
-        """Raise ``ValueError`` unless the tables and noise lists fit the
-        declared N players, K actions and Z contexts: reward tables of
-        shape (K,)*N + (Z,), constraint tables of shape (M, K) or (M, K, Z)
-        with one M for all players (or empty, M=0), finite values, and
-        N reward and N x M constraint noise scales, all >= 0.  Values and
-        scales are at most :data:`MAX_MAGNITUDE` in magnitude."""
+        """Raise ``ValueError`` unless the game is playable: integer counts
+        with N, Z >= 1 and K >= 2; reward tables of shape (K,)*N + (Z,) and
+        constraint tables of shape (M, K) or (M, K, Z), one M for all (or
+        empty, M=0), finite; N reward and N x M constraint noise scales >= 0;
+        values and scales at most :data:`MAX_MAGNITUDE` in magnitude; and a
+        feasible action for every player at every context."""
         N, K, Z = self.num_players, self.num_actions, self.num_contexts
         for name, count in (("num_players", N), ("num_actions", K), ("num_contexts", Z)):
             if isinstance(count, bool) or not isinstance(count, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
-        if min(N, K, Z) < 1:
-            raise ValueError("a game needs at least one player, action and context")
+        if min(N, Z) < 1:
+            raise ValueError("a game needs at least one player and context")
+        if K < 2:
+            raise ValueError("num_actions must be at least 2")
         if len(self.rewards) != N or len(self.constraints) != N:
             raise ValueError(
                 f"{N} players need {N} reward and {N} constraint tables, got "
@@ -155,6 +150,10 @@ class GameDefinition:
             raise ValueError("noise scales must be finite and >= 0")
         if (scales > MAX_MAGNITUDE).any():
             raise ValueError(f"noise scales must be at most {MAX_MAGNITUDE:g}")
+        for i in range(N):
+            stranded = np.flatnonzero(~self.feasible_actions(i).any(axis=1))
+            if len(stranded):
+                raise ValueError(f"player {i} has no feasible action at context {stranded[0]}")
 
     def to_json(self) -> str:
         doc = {
@@ -171,9 +170,12 @@ class GameDefinition:
 
     @classmethod
     def from_json(cls, text: str) -> "GameDefinition":
-        """Parse and validate a game file; a key given twice in any object
-        raises ``ConfigError``, a ``ValueError``, naming it."""
+        """Parse and validate a game file; a missing, unknown or repeated key,
+        or a non-number noise scale, raises ``ConfigError`` naming it."""
         doc = parse_json(text)
+        keys = {"num_players", "num_actions", "num_contexts", "rewards",
+                "constraints", "reward_noise", "constraint_noise"}
+        _require_keys(doc, {*keys, "metadata"}, keys, "")
         game = cls(
             num_players=doc["num_players"],
             num_actions=doc["num_actions"],
@@ -182,8 +184,14 @@ class GameDefinition:
             constraints=[
                 _table("constraint", i, c) for i, c in enumerate(doc["constraints"])
             ],
-            reward_noise=[float(s) for s in doc["reward_noise"]],
-            constraint_noise=[[float(s) for s in row] for row in doc["constraint_noise"]],
+            reward_noise=[
+                float(_number(s, f".reward_noise[{j}]"))
+                for j, s in enumerate(doc["reward_noise"])
+            ],
+            constraint_noise=[
+                [float(_number(s, f".constraint_noise[{i}][{j}]")) for j, s in enumerate(row)]
+                for i, row in enumerate(doc["constraint_noise"])
+            ],
             metadata=doc.get("metadata", {}),
         )
         game.validate()
@@ -191,12 +199,11 @@ class GameDefinition:
 
 
 def _table(kind: str, player: int, value) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except ValueError as exc:  # ragged nesting or a non-number entry
-        raise ValueError(
-            f"player {player}: {kind} table is not a rectangular array of numbers"
-        ) from exc
+    # JSON ints and floats only (numpy reads "0.25", true and null as numbers)
+    table = np.asarray(value, dtype=object)
+    if any(type(x) not in (int, float) for x in table.flat):
+        raise ValueError(f"player {player}: {kind} table is not a rectangular array of numbers")
+    return table.astype(float)
 
 
 @dataclass
@@ -336,7 +343,7 @@ def generate_random_game(
     BLAS runs on one thread throughout (:func:`one_blas_thread`), so the
     tables do not depend on the machine's core count.
     """
-    if num_actions < 2 or num_contexts < 1 or num_players < 2:
+    if num_contexts < 1 or num_players < 2:
         raise ValueError("degenerate grid")
     rng = np.random.default_rng(seed)
     k_r = default_reward_kernel(num_players)
@@ -415,7 +422,6 @@ def generate_random_game(
         },
     )
     game.validate()
-    assert game.check_feasible(), "generated game violates feasibility"
     return game
 
 

@@ -152,9 +152,14 @@ class TestRunCommand:
     @pytest.mark.parametrize("text, message", [
         (None, "No such file"),
         ("{not json", "Expecting property name"),
-        ('{"num_players": 2}', "missing key 'num_actions'"),
+        ('{"num_players": 2}', ".constraint_noise: missing required key"),
+        ('{"num_player": 2}', ".num_player: unknown key"),
         ('{"num_players": 2, "num_players": 3}', ".num_players: given more than once"),
-    ], ids=["missing", "not-json", "missing-key", "repeated-key"])
+        # a JSON int beyond the float range
+        ('{"num_players": 2, "num_actions": 2, "num_contexts": 1, "rewards": [], '
+         '"constraints": [], "reward_noise": [1' + '0' * 400 + '], "constraint_noise": []}',
+         "int too large to convert to float"),
+    ], ids=["missing", "not-json", "missing-key", "unknown-key", "repeated-key", "huge-int"])
     def test_bad_game_file_is_config_error(self, tmp_path, capsys, text, message):
         game_path = tmp_path / "game.json"
         if text is not None:
@@ -521,7 +526,8 @@ class TestGenerateGame:
                      str(game_path)]) == 0
         game = GameDefinition.from_json(game_path.read_text())
         assert game.num_players == 2
-        assert game.check_feasible()
+        for i in range(game.num_players):
+            assert game.feasible_actions(i).any(axis=1).all()
 
     def test_requires_generate_block(self, tmp_path):
         path = tmp_path / "c.json"

@@ -2,9 +2,14 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import congames
 from congames.cli import main
 from congames.config import ConfigError, GeneratorParams, parse_config
 from congames.game import generate_random_game
@@ -269,6 +274,24 @@ class TestErrors:
     def test_not_json(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")
+
+    def test_missing_keys_reported_in_a_fixed_order(self):
+        # the required keys are a set, whose order changes with the hash seed
+        src = str(Path(congames.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from congames.config import ConfigError, parse_config\n"
+            "try:\n    parse_config('{}')\n"
+            "except ConfigError as exc:\n    print(exc)\n"
+        )
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                timeout=60, check=True, env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            ).stdout
+            for seed in range(8)
+        }
+        assert messages == {".T: missing required key\n"}
 
 
 class TestRepeatedKeys:

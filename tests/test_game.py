@@ -49,6 +49,14 @@ def tiny_game(constraints=None):
     )
 
 
+def one_action(doc, constraints):
+    """Turn a 2-player, 2-context game document into a K=1 game that gives
+    both players the feasible one-constraint table ``constraints``."""
+    doc["num_actions"] = 1
+    doc["rewards"] = [[[[0.5, 0.5]]]] * 2
+    doc["constraints"] = [constraints] * 2
+
+
 def random_players(game, seed=0):
     return [UniformPlayer(game.num_actions, seed + i) for i in range(game.num_players)]
 
@@ -68,11 +76,12 @@ class TestGameDefinition:
     def test_feasible_actions_mask(self):
         game = tiny_game(constraints=[np.array([[0.2, -0.3]])] * 2)
         np.testing.assert_array_equal(game.feasible_actions(0, 0), [False, True])
-        assert game.check_feasible()
+        game.validate()
 
     def test_infeasible_game_detected(self):
         game = tiny_game(constraints=[np.array([[1.0, 1.0]])] * 2)
-        assert not game.check_feasible()
+        with pytest.raises(ValueError, match="^player 0 has no feasible action at context 0$"):
+            game.validate()
 
     def test_json_roundtrip_byte_identical(self):
         game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
@@ -125,6 +134,40 @@ class TestGameDefinition:
                      "num_actions must be an integer", id="float-count"),
         pytest.param(lambda d: d.__setitem__("num_players", True),
                      "num_players must be an integer", id="bool-count"),
+        pytest.param(lambda d: one_action(d, [[-1.0]]), "num_actions must be at least 2",
+                     id="one-action-MK"),
+        pytest.param(lambda d: one_action(d, [[[-1.0, -1.0]]]),
+                     "num_actions must be at least 2", id="one-action-MKZ"),
+        pytest.param(lambda d: d["constraints"].__setitem__(1, [[1.0, 0.5, 2.0]]),
+                     "^player 1 has no feasible action at context 0$",
+                     id="stranded-context-MK"),
+        pytest.param(lambda d: d["constraints"].__setitem__(
+                         0, [[[-1.0, 1.0], [-0.5, 0.5], [-2.0, 2.0]]]),
+                     "^player 0 has no feasible action at context 1$",
+                     id="stranded-context-MKZ"),
+        pytest.param(lambda d: d.__setitem__("reward_noise", ["0.5", True]),
+                     r"^\.reward_noise\[0\]: must be a number$", id="string-noise"),
+        pytest.param(lambda d: d.__setitem__("reward_noise", [0.5, True]),
+                     r"^\.reward_noise\[1\]: must be a number$", id="bool-noise"),
+        pytest.param(lambda d: d["constraint_noise"][1].__setitem__(0, None),
+                     r"^\.constraint_noise\[1\]\[0\]: must be a number$",
+                     id="null-constraint-noise"),
+        pytest.param(lambda d: d["rewards"][0][2][1].__setitem__(0, "0.25"),
+                     "^player 0: reward table is not a rectangular array of numbers$",
+                     id="string-reward"),
+        pytest.param(lambda d: d["rewards"][1][0][0].__setitem__(1, None),
+                     "^player 1: reward table is not a rectangular array of numbers$",
+                     id="null-reward"),
+        pytest.param(lambda d: d["constraints"][1][0].__setitem__(2, False),
+                     "^player 1: constraint table is not a rectangular array of numbers$",
+                     id="bool-constraint"),
+        pytest.param(lambda d: d["constraints"].__setitem__(0, [0.1, True]),
+                     "^player 0: constraint table is not a rectangular array of numbers$",
+                     id="bare-bool-table"),
+        pytest.param(lambda d: d.pop("rewards"), r"^\.rewards: missing required key$",
+                     id="missing-key"),
+        pytest.param(lambda d: d.__setitem__("num_action", 3),
+                     r"^\.num_action: unknown key$", id="unknown-key"),
     ])
     def test_malformed_game_rejected(self, edit, message):
         doc = json.loads(
@@ -208,11 +251,13 @@ class TestGenerator:
             assert r.min() >= 0.0 and r.max() <= 1.0 + 1e-12
 
     def test_always_feasible(self):
-        for seed in range(5):
-            game = generate_random_game(
-                seed, num_players=2, num_actions=4, num_contexts=2
-            )
-            assert game.check_feasible()
+        for M in range(4):
+            for seed in range(5):
+                game = generate_random_game(
+                    seed, num_players=2, num_actions=4, num_contexts=2, num_constraints=M
+                )
+                for i in range(game.num_players):
+                    assert game.feasible_actions(i).any(axis=1).all()
 
     def test_quantile_shift_keeps_some_feasible(self):
         game = generate_random_game(
