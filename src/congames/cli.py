@@ -450,10 +450,15 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out or config.output_dir or "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metadata.json").write_text(
-        json.dumps(_metadata_stamp(text, config), indent=2, sort_keys=True)
-    )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "metadata.json").write_text(
+            json.dumps(_metadata_stamp(text, config), indent=2, sort_keys=True)
+        )
+    except OSError as exc:
+        where = ".output_dir" if config.output_dir and not args.out else "--out"
+        print(f"config error: {where}: {exc}", file=sys.stderr)
+        return 1
     return run_experiment(config, out_dir, parallel=args.parallel, game=game)
 
 
@@ -467,7 +472,11 @@ def cmd_generate_game(args) -> int:
         print("config error: .game.generate block required", file=sys.stderr)
         return 1
     game = _load_game(config, config.seeds[0])
-    Path(args.out).write_text(game.to_json())
+    try:
+        Path(args.out).write_text(game.to_json())
+    except OSError as exc:
+        print(f"config error: --out: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ DEFAULT_RKHS_BOUND = 1.0
 
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
 
 
@@ -60,7 +61,7 @@ def parse_json(text: str):
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
     if not isinstance(obj, dict):
-        raise ConfigError(path, "must be an object")
+        raise ConfigError(path, "must be an object" if path else "top level must be an object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}", "unknown key")
@@ -81,7 +82,8 @@ def _integer(value, path: str, minimum: int | None = None) -> int:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, "must be a number")
-    if not math.isfinite(value):
+    # false for NaN, +-inf and an int beyond the float range
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(path, "must be finite")
     return value
 
@@ -205,10 +207,10 @@ def _parse_player(obj: dict, path: str) -> PlayerBlock:
 def parse_config(text: str) -> ExperimentConfig:
     try:
         doc = parse_json(text)
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # malformed, or an int of too many digits
         raise ConfigError("", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("", "top level must be an object")
     allowed = {
         "game", "T", "seeds", "players", "context_schedule", "output_dir",
         "bound_checks",

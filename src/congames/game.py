@@ -4,12 +4,13 @@ The engine is the only owner of true reward/constraint values; learners
 receive nothing beyond the context and the noisy bandit feedback tuple
 (own noisy reward, own noisy constraint values, opponents' actions),
 enforced by the call signatures of ``Player.select_action``, which opens a
-round, and ``Player.observe_feedback``, which closes it.  A run draws all
-of its noise, and each random baseline's (``UniformPlayer``) whole action
-column, before the first round; only learners are asked each round.  A
-played game is a columnar ``Trajectory`` of contexts, joint actions and
-noisy feedback; true values are not stored, since the game tables give
-them back with one gather.
+round, and ``Player.observe_feedback``, which closes it.  A run draws
+each random baseline's (``UniformPlayer``) whole action column, and, when
+a learner plays, all of its noise, before the first round; only learners
+are asked each round.  A played game is a columnar ``Trajectory`` of what
+was played, contexts and joint actions, and how the run ended; the
+feedback went to the learners alone, and the oracle metrics gather true
+values from the game tables.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import numbers
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -212,8 +213,7 @@ class Trajectory:
 
     contexts: np.ndarray             # (T,) context ids
     actions: np.ndarray              # (T, N) joint actions
-    noisy_rewards: np.ndarray        # (T, N) rewards fed back to players
-    noisy_constraints: np.ndarray    # (T, N, M) constraints fed back
+    _: KW_ONLY
     status: str = "completed"
     infeasible_player: int | None = None
     infeasible_round: int | None = None
@@ -445,16 +445,16 @@ def run(
 ) -> Trajectory:
     """Simulate the repeated game round by round.
 
-    All of a run's noise is drawn before the first round, in one
-    ``standard_normal((T, N + N*M))`` call: row t holds round t's N reward
-    draws, then each player's M constraint draws in player order, the
-    order in which a per-round draw would take them from the stream.  So
-    is each ``UniformPlayer``'s action column.  Each round every learner
-    (``Player``) selects an action, in player order, and is then sent its
-    noisy feedback, gathered for it alone; with no learner there is no
-    round loop.  The trajectory's noisy rewards and constraints come from
-    one gather of the tables over the played rounds, so they equal what
-    the learners were fed.
+    Each ``UniformPlayer``'s action column is drawn before the first
+    round; with no learner that is the whole run, and no noise is drawn.
+    Otherwise all of the run's noise is drawn before the first round too,
+    in one ``standard_normal((T, N + N*M))`` call: row t holds round t's
+    N reward draws, then each player's M constraint draws in player
+    order, the order in which a per-round draw would take them from the
+    stream.  Each round every learner (``Player``) selects an action, in
+    player order, and is then sent its noisy feedback, gathered for it
+    alone.  The trajectory keeps the contexts and joint actions played,
+    not the feedback.
 
     Halts early, with the status, player and round recorded, if a player
     declares infeasibility (``infeasibility_declared``) or a player's GP
@@ -478,6 +478,12 @@ def run(
         if isinstance(player, UniformPlayer):
             actions[:, i] = player.actions(T)
     learners = [(i, p) for i, p in enumerate(players) if isinstance(p, Player)]
+
+    def played(rounds: int, **status) -> Trajectory:
+        return Trajectory(contexts[:rounds], actions[:rounds], **status)
+
+    if not learners:
+        return played(T)
     reward_sigma = np.asarray(game.reward_noise, dtype=float)
     constraint_sigma = np.array(
         [row[:M] for row in game.constraint_noise], dtype=float
@@ -486,22 +492,6 @@ def run(
     reward_noise = reward_sigma * noise[:, :N]
     constraint_noise = constraint_sigma * noise[:, N:].reshape(T, N, M)
     grids = [game.constraint_grid(i) for i in range(N)]
-
-    def played(rounds: int, **status) -> Trajectory:
-        zs, joints = contexts[:rounds], actions[:rounds]
-        true_rewards = np.stack(
-            [game.rewards[i][(*joints.T, zs)] for i in range(N)], axis=1
-        )
-        true_constraints = np.stack(
-            [grids[i][:, joints[:, i], zs].T for i in range(N)], axis=1
-        )
-        return Trajectory(
-            zs, joints, true_rewards + reward_noise[:rounds],
-            true_constraints + constraint_noise[:rounds], **status,
-        )
-
-    if not learners:
-        return played(T)
     for t, z in enumerate(contexts.tolist()):
         try:
             for i, player in learners:

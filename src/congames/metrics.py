@@ -36,14 +36,6 @@ class _Oracle(NamedTuple):
     violation_totals: np.ndarray  # (M,) T times the expected violations
 
 
-def _positive_parts(
-    trajectory: Trajectory, game: GameDefinition, player: int
-) -> np.ndarray:
-    """The positive parts of the player's true constraint values, (M, T)."""
-    grid = game.constraint_grid(player)
-    return np.maximum(grid[:, trajectory.actions[:, player], trajectory.contexts], 0.0)
-
-
 def _oracle(trajectory: Trajectory, game: GameDefinition, player: int) -> _Oracle:
     """Gather the player's counterfactual reward matrix C, (T, K), where
     C[t, a] is its true reward in round t had it played a, its per-context
@@ -66,10 +58,10 @@ def _oracle(trajectory: Trajectory, game: GameDefinition, player: int) -> _Oracl
         )
     totals = np.where(feasible, totals, -np.inf)
     policy = totals.argmax(axis=1)
-    rounds = np.arange(len(C))
-    played = C[rounds, trajectory.actions[:, player]]
+    rounds, own = np.arange(len(C)), trajectory.actions[:, player]
+    played = C[rounds, own]
     earned = np.bincount(contexts, played, minlength=Z)
-    positive = _positive_parts(trajectory, game, player)
+    positive = np.maximum(game.constraint_grid(player)[:, own, contexts], 0.0)
     return _Oracle(
         regret=np.cumsum(C[rounds, policy[contexts]] - played),
         violations=np.cumsum(positive, axis=1),
@@ -98,7 +90,7 @@ def cumulative_violations(
     trajectory: Trajectory, game: GameDefinition, player: int
 ) -> np.ndarray:
     """Per-constraint cumulative positive parts, shape (M, T)."""
-    return np.cumsum(_positive_parts(trajectory, game, player), axis=1)
+    return _oracle(trajectory, game, player).violations
 
 
 def empirical_policy(trajectory: Trajectory) -> dict[int, dict[tuple, float]]:

@@ -329,15 +329,7 @@ def test_criterion_7_policy_oracle():
         for t in range(T):
             contexts[t] = rng.integers(Z)
             actions[t] = rng.integers(K), rng.integers(K)
-        rewards = np.array([
-            [game.reward(i, tuple(a), z) for i in range(2)]
-            for z, a in zip(contexts, actions)
-        ])
-        constraints = np.array([
-            [game.constraint_values(i, a[i], z) for i in range(2)]
-            for z, a in zip(contexts, actions)
-        ])
-        traj = gm.Trajectory(contexts, actions, rewards, constraints)
+        traj = gm.Trajectory(contexts, actions)
         policy = mt.best_feasible_policy(traj, game, 0)
 
         def value(pol):

@@ -150,16 +150,19 @@ class TestRunCommand:
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("text, message", [
-        (None, "No such file"),
-        ("{not json", "Expecting property name"),
+        (None, "[Errno 2] No such file or directory: '{path}'"),
+        ("{not json",
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
         ('{"num_players": 2}', ".constraint_noise: missing required key"),
         ('{"num_player": 2}', ".num_player: unknown key"),
         ('{"num_players": 2, "num_players": 3}', ".num_players: given more than once"),
         # a JSON int beyond the float range
         ('{"num_players": 2, "num_actions": 2, "num_contexts": 1, "rewards": [], '
          '"constraints": [], "reward_noise": [1' + '0' * 400 + '], "constraint_noise": []}',
-         "int too large to convert to float"),
-    ], ids=["missing", "not-json", "missing-key", "unknown-key", "repeated-key", "huge-int"])
+         ".reward_noise[0]: must be finite"),
+        ("[]", "top level must be an object"),
+    ], ids=["missing", "not-json", "missing-key", "unknown-key", "repeated-key", "huge-int",
+            "top-level-list"])
     def test_bad_game_file_is_config_error(self, tmp_path, capsys, text, message):
         game_path = tmp_path / "game.json"
         if text is not None:
@@ -168,8 +171,8 @@ class TestRunCommand:
         path.write_text(json.dumps(config_doc(game={"path": str(game_path)})))
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: .game.path: ") and message in err
+        message = message.format(path=game_path)
+        assert capsys.readouterr().err == f"config error: .game.path: {game_path}: {message}\n"
         assert not (out / "summary.json").exists()
 
     def test_repeated_key_in_a_valid_game_file(self, tmp_path, capsys):
@@ -208,6 +211,28 @@ class TestRunCommand:
             capsys.readouterr().err
         )
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("option, out, message", [
+        ("--out", "file", "[Errno 17] File exists: '{file}'"),
+        ("--out", "file/sub", "[Errno 20] Not a directory: '{file}/sub'"),
+        (".output_dir", "file", "[Errno 17] File exists: '{file}'"),
+    ], ids=["existing-file", "below-a-file", "config-output-dir"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, option, out,
+                                            message):
+        file = tmp_path / "file"
+        file.write_text("kept")
+        out = str(tmp_path / out)
+        path = tmp_path / "config.json"
+        if option == "--out":
+            path.write_text(json.dumps(config_doc()))
+            argv = ["run", str(path), "--out", out]
+        else:
+            path.write_text(json.dumps(config_doc(output_dir=out)))
+            argv = ["run", str(path)]
+        assert main(argv) == 1
+        message = message.format(file=file)
+        assert capsys.readouterr().err == f"config error: {option}: {message}\n"
+        assert file.read_text() == "kept"
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
@@ -528,6 +553,13 @@ class TestGenerateGame:
         assert game.num_players == 2
         for i in range(game.num_players):
             assert game.feasible_actions(i).any(axis=1).all()
+
+    def test_missing_out_dir_is_config_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.json"
+        assert main(["generate-game", str(config_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: --out: [Errno 2] No such file or directory: '{out}'\n"
+        )
 
     def test_requires_generate_block(self, tmp_path):
         path = tmp_path / "c.json"

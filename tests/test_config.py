@@ -189,6 +189,24 @@ class TestErrors:
         with pytest.raises(ConfigError, match=rf"\.game\.generate\.{key}: "):
             parse_config(json.dumps({"game": {"generate": {key: value}}, "T": 5}))
 
+    @pytest.mark.parametrize("text, message", [
+        # an int beyond the float range
+        (base_config(game={"generate": {"obs_noise": 10**400}}),
+         r"^\.game\.generate\.obs_noise: must be finite$"),
+        # an int of more digits than json converts
+        (base_config()[:-1] + ', "seeds": [' + "1" * 4400 + "]}",
+         r"^invalid JSON: Exceeds the limit \(4300 digits\)"),
+        ("{not json", r"^invalid JSON: Expecting property name"),
+        ("[]", r"^top level must be an object$"),
+    ], ids=["huge-obs-noise", "seed-of-4400-digits", "not-json", "top-level-list"])
+    def test_unreadable_document(self, tmp_path, capsys, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
     @pytest.mark.parametrize("overrides, where", [
         ({"seeds": [-1]}, r"\.seeds\[0\]"),
         ({"seeds": [0, True]}, r"\.seeds\[1\]"),

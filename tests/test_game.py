@@ -61,6 +61,52 @@ def random_players(game, seed=0):
     return [UniformPlayer(game.num_actions, seed + i) for i in range(game.num_players)]
 
 
+def build_players(game, algorithms, halt=None, fail=None, fed=None):
+    """Players built as the CLI builds them.  ``halt=(i, r)`` makes
+    learner i declare infeasibility in round r, ``fail=(i, r)`` makes its
+    ``observe_feedback`` raise ``FactorizationError`` in round r, and
+    ``fed`` collects every (round, player, reward, constraints) feedback
+    a learner is sent, the one that raises included."""
+    players = [
+        build_player(PlayerBlock(algorithm=a, beta_scale=0.2), game, i, 10 + i)
+        for i, a in enumerate(algorithms)
+    ]
+    for i, player in enumerate(players):
+        if isinstance(player, UniformPlayer):
+            continue
+        selected = []
+
+        def select(z, i=i, select=player.select_action, selected=selected):
+            selected.append(z)
+            if halt == (i, len(selected)):
+                raise InfeasibilityDeclared(i, z)
+            return select(z)
+
+        def observe(a, opponents, reward, constraints, i=i,
+                    observe=player.observe_feedback, selected=selected):
+            if fed is not None:
+                fed.append((len(selected), i, reward, np.array(constraints)))
+            if fail == (i, len(selected)):
+                raise FactorizationError("forced")
+            observe(a, opponents, reward, constraints)
+
+        player.select_action = select
+        player.observe_feedback = observe
+    return players
+
+
+def assert_same_feedback(got, want):
+    """Two ``fed`` lists agree entry by entry: the same rounds and players,
+    and rewards and constraints of the same shape, bit for bit."""
+    assert len(got) == len(want)
+    for (t, i, reward, constraints), (t0, i0, reward0, constraints0) in zip(got, want):
+        assert (t, i) == (t0, i0)
+        for value, value0 in ((reward, reward0), (constraints, constraints0)):
+            value, value0 = np.asarray(value, float), np.asarray(value0, float)
+            assert value.shape == value0.shape
+            assert value.tobytes() == value0.tobytes(), (t, i)
+
+
 class TestGameDefinition:
     def test_reward_lookup(self):
         game = tiny_game()
@@ -298,30 +344,39 @@ class TestRun:
         assert traj.num_rounds == 4
         np.testing.assert_array_equal(traj.contexts, [0, 1, 0, 1])
         assert traj.actions.shape == (4, 2)
-        assert traj.noisy_rewards.shape == (4, 2)
-        assert traj.noisy_constraints.shape == (4, 2, 1)
+
+    def test_halt_fields_are_keyword_only(self):
+        # a third positional array must not silently become the status
+        with pytest.raises(TypeError):
+            Trajectory(np.zeros(1, int), np.zeros((1, 2), int), "completed")
 
     def test_noiseless_rewards_match_tables(self):
+        # at noise 0 a learner is fed the true values of its round
         game = tiny_game()
-        traj = run(game, random_players(game), [1, 0], noise_seed=0)
-        for z, joint, rewards, constraints in zip(
-            traj.contexts, traj.actions, traj.noisy_rewards,
-            traj.noisy_constraints,
-        ):
-            for i in range(2):
-                assert rewards[i] == pytest.approx(game.reward(i, joint, z))
-                np.testing.assert_allclose(
-                    constraints[i], game.constraint_values(i, joint[i], z)
-                )
+        fed = []
+        players = build_players(game, [CZ_ADA_NORMAL_GP, "random"], fed=fed)
+        traj = run(game, players, [1, 0, 0, 1], noise_seed=0)
+        assert traj.num_rounds == len(fed) == 4
+        for t, i, reward, constraints in fed:
+            z, joint = traj.contexts[t - 1], traj.actions[t - 1]
+            assert reward == game.reward(i, joint, z)
+            np.testing.assert_array_equal(
+                constraints, game.constraint_values(i, joint[i], z)
+            )
 
     def test_noise_seed_determinism(self):
         game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
         sched = uniform_finite_schedule(2, 20, seed=2)
-        t1 = run(game, random_players(game), sched, noise_seed=7)
-        t2 = run(game, random_players(game), sched, noise_seed=7)
-        np.testing.assert_array_equal(t1.actions, t2.actions)
-        np.testing.assert_array_equal(t1.noisy_rewards, t2.noisy_rewards)
-        np.testing.assert_array_equal(t1.noisy_constraints, t2.noisy_constraints)
+        feds = [[], [], []]
+        trajectories = [
+            run(game, build_players(game, ["random", CZ_ADA_NORMAL_GP], fed=fed),
+                sched, noise_seed=seed)
+            for fed, seed in zip(feds, [7, 7, 8])
+        ]
+        np.testing.assert_array_equal(trajectories[0].actions, trajectories[1].actions)
+        assert len(feds[0]) == 20
+        assert_same_feedback(feds[0], feds[1])
+        assert feds[0][0][2] != feds[2][0][2]
 
     def test_player_count_mismatch(self):
         game = tiny_game()
@@ -338,30 +393,19 @@ class TestRun:
     def test_halt_keeps_earlier_rounds(self):
         game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
         sched = uniform_finite_schedule(2, 20, seed=2)
+        algorithms = ["random", CZ_ADA_NORMAL_GP]
 
-        def random_and_learner():
-            block = PlayerBlock(algorithm=CZ_ADA_NORMAL_GP, beta_scale=0.2)
-            return [random_players(game)[0], build_player(block, game, 1, 11)]
-
-        full = run(game, random_and_learner(), sched, noise_seed=7)
-        players = random_and_learner()
-        select = players[1].select_action
-        calls = []
-
-        def declares_in_round_6(z):
-            calls.append(z)
-            if len(calls) == 6:
-                raise InfeasibilityDeclared(1, "forced")
-            return select(z)
-
-        players[1].select_action = declares_in_round_6
-        halted = run(game, players, sched, noise_seed=7)
+        full_fed, halted_fed = [], []
+        full = run(game, build_players(game, algorithms, fed=full_fed), sched,
+                   noise_seed=7)
+        halted = run(game, build_players(game, algorithms, halt=(1, 6), fed=halted_fed),
+                     sched, noise_seed=7)
         assert halted.status == "infeasibility_declared"
         assert (halted.infeasible_player, halted.infeasible_round) == (1, 6)
         assert halted.num_rounds == 5
         np.testing.assert_array_equal(halted.contexts, full.contexts[:5])
         np.testing.assert_array_equal(halted.actions, full.actions[:5])
-        np.testing.assert_array_equal(halted.noisy_rewards, full.noisy_rewards[:5])
+        assert_same_feedback(halted_fed, full_fed[:5])
 
     def test_infeasibility_declared_recorded(self):
         # every action violates by margin 1: the learner must declare once
@@ -397,15 +441,15 @@ class TestRun:
 
 def reference_run(game, players, context_schedule, noise_seed=0):
     """The engine as a per-round loop: two noise draws and a gather of
-    the true values per round, feedback to every learner, and the noisy
-    arrays filled row by row; a random player's action is read from its
-    ``actions(T)`` column.  ``run`` must reproduce it exactly."""
+    the true values per round, and feedback to every learner, each
+    recorded as ``build_players`` records it; a random player's action is
+    read from its ``actions(T)`` column.  Returns the trajectory and the
+    feedback; ``run`` must reproduce both exactly."""
     N, M = game.num_players, game.num_constraints
     contexts = np.array([int(z) for z in context_schedule], dtype=np.int64)
     T = len(contexts)
     actions = np.zeros((T, N), dtype=np.int64)
-    noisy_rewards = np.zeros((T, N))
-    noisy_constraints = np.zeros((T, N, M))
+    fed = []
     reward_sigma = np.asarray(game.reward_noise, dtype=float)
     constraint_sigma = np.array(
         [row[:M] for row in game.constraint_noise], dtype=float
@@ -417,10 +461,7 @@ def reference_run(game, players, context_schedule, noise_seed=0):
     }
 
     def played(rounds, **status):
-        return Trajectory(
-            contexts[:rounds], actions[:rounds], noisy_rewards[:rounds],
-            noisy_constraints[:rounds], **status,
-        )
+        return Trajectory(contexts[:rounds], actions[:rounds], **status), fed
 
     for t in range(T):
         z = int(contexts[t])
@@ -443,6 +484,7 @@ def reference_run(game, players, context_schedule, noise_seed=0):
         for i, player in enumerate(players):
             if i in columns:
                 continue
+            fed.append((t + 1, i, rewards[i], constraints[i]))
             try:
                 player.observe_feedback(
                     joint[i], joint[:i] + joint[i + 1:], rewards[i], constraints[i]
@@ -453,8 +495,6 @@ def reference_run(game, players, context_schedule, noise_seed=0):
                     failed_player=i, failed_round=t + 1,
                 )
         actions[t] = joint
-        noisy_rewards[t] = rewards
-        noisy_constraints[t] = constraints
     return played(T)
 
 
@@ -467,8 +507,8 @@ MIXED = ["cz_ada_normal_gp", "random", "z_gpmw"]
 
 class TestRunMatchesReferenceLoop:
     """``run`` draws its noise and the random players' action columns in
-    one call each, asks and feeds only learners, and builds the noisy
-    arrays at the end; the per-round loop is the oracle."""
+    one call each and asks and feeds only learners; the per-round loop is
+    the oracle for the trajectory and for every learner's feedback."""
 
     @staticmethod
     def game(layout):
@@ -483,40 +523,6 @@ class TestRunMatchesReferenceLoop:
             game.validate()
         return game
 
-    @staticmethod
-    def players(game, algorithms, halt=None, fail=None, fed=None):
-        """Players built as the CLI builds them.  ``halt=(i, r)`` makes
-        learner i declare infeasibility in round r, ``fail=(i, r)`` makes
-        its ``observe_feedback`` raise ``FactorizationError`` in round r,
-        and ``fed`` collects every learner's (round, player, reward,
-        constraints) feedback."""
-        players = [
-            build_player(PlayerBlock(algorithm=a, beta_scale=0.2), game, i, 10 + i)
-            for i, a in enumerate(algorithms)
-        ]
-        for i, player in enumerate(players):
-            if isinstance(player, UniformPlayer):
-                continue
-            selected = []
-
-            def select(z, i=i, select=player.select_action, selected=selected):
-                selected.append(z)
-                if halt == (i, len(selected)):
-                    raise InfeasibilityDeclared(i, z)
-                return select(z)
-
-            def observe(a, opponents, reward, constraints, i=i,
-                        observe=player.observe_feedback, selected=selected):
-                if fail == (i, len(selected)):
-                    raise FactorizationError("forced")
-                if fed is not None:
-                    fed.append((len(selected), i, reward, np.array(constraints)))
-                observe(a, opponents, reward, constraints)
-
-            player.select_action = select
-            player.observe_feedback = observe
-        return players
-
     @pytest.mark.parametrize("layout", ["MK", "MKZ", "empty"])
     @pytest.mark.parametrize("algorithms, halt, fail", [
         pytest.param(ALL_RANDOM, None, None, id="all-random-completed"),
@@ -530,25 +536,21 @@ class TestRunMatchesReferenceLoop:
     def test_same_trajectory(self, layout, algorithms, halt, fail):
         game = self.game(layout)
         schedule = uniform_finite_schedule(game.num_contexts, 30, seed=5)
-        want = reference_run(
-            game, self.players(game, algorithms, halt, fail), schedule, noise_seed=8
+        want, want_fed = reference_run(
+            game, build_players(game, algorithms, halt, fail), schedule, noise_seed=8
         )
         fed = []
         got = run(
-            game, self.players(game, algorithms, halt, fail, fed), schedule,
+            game, build_players(game, algorithms, halt, fail, fed), schedule,
             noise_seed=8,
         )
         for name in STATUS_FIELDS:
             assert getattr(got, name) == getattr(want, name), name
-        for name in ("contexts", "actions", "noisy_rewards", "noisy_constraints"):
+        for name in ("contexts", "actions"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.noisy_constraints.shape == want.noisy_constraints.shape
 
-        # a learner is fed exactly the trajectory's row of its round
+        # every learner is fed, bit for bit, what the per-round loop feeds it
         learners = {i for i, a in enumerate(algorithms) if a != "random"}
-        assert {i for _, i, _, _ in fed} <= learners
-        assert len(fed) >= len(learners) * got.num_rounds
-        for t, i, reward, constraints in fed:
-            if t <= got.num_rounds:
-                assert reward == got.noisy_rewards[t - 1, i]
-                assert np.array_equal(constraints, got.noisy_constraints[t - 1, i])
+        assert {i for _, i, _, _ in want_fed} <= learners
+        assert len(want_fed) >= len(learners) * got.num_rounds
+        assert_same_feedback(fed, want_fed)

@@ -28,17 +28,12 @@ from congames.strategy import UniformPlayer
 
 
 def make_trajectory(game, plays):
-    """Build a noiseless trajectory from (context, joint-action) pairs."""
-    N, M = game.num_players, game.num_constraints
+    """Build a trajectory from (context, joint-action) pairs."""
     contexts = np.array([z for z, _ in plays], dtype=int)
-    actions = np.array([a for _, a in plays], dtype=int).reshape(len(plays), N)
-    rewards = np.array(
-        [[game.reward(i, a, z) for i in range(N)] for z, a in plays]
-    ).reshape(len(plays), N)
-    constraints = np.array(
-        [[game.constraint_values(i, a[i], z) for i in range(N)] for z, a in plays]
-    ).reshape(len(plays), N, M)
-    return Trajectory(contexts, actions, rewards, constraints)
+    actions = np.array([a for _, a in plays], dtype=int).reshape(
+        len(plays), game.num_players
+    )
+    return Trajectory(contexts, actions)
 
 
 def hand_game(r0, constraints0=None):

@@ -16,7 +16,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from congames.cli import main
@@ -53,11 +53,11 @@ NAN, INF = float("nan"), float("inf")
 COUNTS = st.sampled_from([0, 1, 2, 3, -1, 2.5, "2", True, None, [2], 10**6])
 LEAVES = st.sampled_from([
     NAN, INF, -INF, 1e308, -1e308, 1e-320, 0.0, -0.0, -1.0, 5.0, 2, "a", None,
-    True, [1.0], [],
+    True, [1.0], [], 10**400,
 ])
 SETTINGS = st.sampled_from([
     0.0, -1.0, 1e-320, 1e-200, 1e-9, 0.5, 1.0, 0.999999, 1e9, 1e200, 1e308,
-    NAN, INF, "1", True, None,
+    NAN, INF, "1", True, None, 10**400,
 ])
 KERNELS = st.one_of(
     st.builds(lambda ls: {"type": "squared_exponential", "lengthscale": ls}, SETTINGS),
@@ -203,8 +203,17 @@ def check_exit(game_doc, config):
         assert "NaN" not in text
 
 
+# a table entry and a player setting beyond the float range, which the
+# derandomized draws miss
+HUGE_LEAF = copy.deepcopy(GAME)
+HUGE_LEAF["rewards"][0][0][0][0] = 10**400
+HUGE_SETTING = copy.deepcopy(CONFIG)
+HUGE_SETTING["players"][0]["delta"] = 10**400
+
+
 @FUZZ
 @given(game_documents(), st.sampled_from(ALGORITHMS))
+@example(HUGE_LEAF, ALGORITHMS[0])
 def test_mutated_game_file_runs_or_exits_1(game_doc, algorithm):
     config = copy.deepcopy(CONFIG)
     config["players"][0]["algorithm"] = algorithm
@@ -213,6 +222,7 @@ def test_mutated_game_file_runs_or_exits_1(game_doc, algorithm):
 
 @FUZZ
 @given(configs(), BASE_GAMES)
+@example(HUGE_SETTING, GAME)
 def test_mutated_config_runs_or_exits_1(config, game_doc):
     check_exit(game_doc, config)
 
