@@ -20,6 +20,9 @@ from .strategy import ALGORITHMS, RANDOM, USES_CONSTRAINTS, USES_CONTEXT
 DEFAULT_DELTA = 0.1
 DEFAULT_NOISE_SCALE = 1.0
 DEFAULT_RKHS_BOUND = 1.0
+# the most entries numpy can index along one array: a horizon or a reward
+# table beyond it cannot be built on any machine
+MAX_ENTRIES = int(np.iinfo(np.intp).max)
 
 
 class ConfigError(ValueError):
@@ -157,6 +160,8 @@ def _parse_generator(obj: dict, path: str) -> GeneratorParams:
             raise ConfigError(f"{path}.{key}", f"sets {name} again, after {keys[name]}")
         if name in _GENERATOR_COUNTS:
             _integer(value, f"{path}.{key}", _GENERATOR_COUNTS[name])
+            if value > MAX_ENTRIES:
+                raise ConfigError(f"{path}.{key}", f"must be at most {MAX_ENTRIES}")
         else:
             _number(value, f"{path}.{key}")
         setattr(params, name, value)
@@ -166,6 +171,16 @@ def _parse_generator(obj: dict, path: str) -> GeneratorParams:
         raise ConfigError(f"{path}.noise_scale", "must be nonnegative")
     if not 0.0 <= params.feasible_quantile <= 1.0:
         raise ConfigError(f"{path}.feasible_quantile", "must lie in [0, 1]")
+    # a player's reward table has K**N * Z entries; multiplying up stops
+    # past the bound, so a large N costs at most 63 steps
+    entries = params.num_contexts
+    for _ in range(params.num_players):
+        entries *= params.num_actions
+        if entries > MAX_ENTRIES:
+            K, N, Z = (keys.get(n, n) for n in ("num_actions", "num_players", "num_contexts"))
+            raise ConfigError(
+                path, f"{K}**{N} * {Z} reward-table entries exceed {MAX_ENTRIES}"
+            )
     return params
 
 
@@ -229,6 +244,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(".game.path", "must be a string")
 
     T = _integer(doc["T"], ".T", 1)
+    if T > MAX_ENTRIES:
+        raise ConfigError(".T", f"must be at most {MAX_ENTRIES}")
 
     seeds = doc.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:

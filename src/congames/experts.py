@@ -8,7 +8,12 @@ Two interchangeable rules drive the per-context action distributions:
   of the reward vector are filled so the expert algorithm is indifferent
   to them).
 
-All operations are pure: they return fresh state objects.
+All operations are pure: they return fresh state objects and never
+write to an argument.  The arithmetic runs in place on arrays each call
+makes for itself, with the same ufuncs on the same operands, in the same
+order, as the plain expressions the docstrings give, so the results are
+bit for bit those of the expressions (``tests/test_exact_rewrites.py``
+holds them as oracles).
 """
 
 from __future__ import annotations
@@ -42,29 +47,53 @@ class HedgeState:
         return cls(np.zeros(num_experts), 0)
 
 
+# log(0.5), taken once from the numpy ufunc
+_LOG_HALF = np.log(0.5)
+
+
 def _log_ada_weights(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     """log w(R, C) per expert, -inf where the weight is zero, for the
-    potential weight w = 0.5*(exp([R+1]+^2/3(C+1)) - exp([R-1]+^2/3(C+1)))."""
-    denom = 3.0 * (C + 1.0)
-    a = np.maximum(R + 1.0, 0.0) ** 2 / denom
-    b = np.maximum(R - 1.0, 0.0) ** 2 / denom
+    potential weight w = 0.5*(exp([R+1]+^2/3(C+1)) - exp([R-1]+^2/3(C+1))).
+
+    With a = [R+1]+^2/3(C+1) and b = [R-1]+^2/3(C+1), log w is
+    a + log(0.5) + log1p(-e^(min(b-a, 0))), computed in place on two fresh
+    arrays.  Where a = 0, b = 0 too, so the last term is log1p(-1) = -inf
+    and no select is needed.  That needs 3(C+1) finite, which holds: C
+    grows by at most 1 per round.
+    """
+    denom = C + 1.0
+    denom *= 3.0
+    a = R + 1.0
+    np.maximum(a, 0.0, out=a)
+    np.square(a, out=a)
+    a /= denom
+    b = R - 1.0
+    np.maximum(b, 0.0, out=b)
+    np.square(b, out=b)
+    b /= denom
+    b -= a
+    np.minimum(b, 0.0, out=b)
+    np.exp(b, out=b)
+    np.negative(b, out=b)
     with np.errstate(divide="ignore"):
-        # log(0.5*(e^a - e^b)) = a + log(0.5) + log1p(-e^(b-a))
-        return np.where(
-            a > 0.0,
-            a + np.log(0.5) + np.log1p(-np.exp(np.minimum(b - a, 0.0))),
-            -np.inf,
-        )
+        np.log1p(b, out=b)
+    a += _LOG_HALF
+    a += b
+    return a
 
 
 def ada_predict(state: SleepingExpertState) -> np.ndarray:
     """Distribution proportional to the potential weights; uniform fallback."""
-    logw = _log_ada_weights(state.regrets, state.magnitudes)
-    if np.all(np.isinf(logw)):
-        return np.full(len(logw), 1.0 / len(logw))
-    m = np.max(logw)
-    w = np.exp(logw - m)
-    return w / w.sum()
+    w = _log_ada_weights(state.regrets, state.magnitudes)
+    m = w.max()
+    # all(isinf(w)), read off the max: -inf, or +inf with no finite entry
+    # (a NaN entry makes the max NaN, and fails both tests)
+    if m == -np.inf or (m == np.inf and np.isinf(w).all()):
+        return np.full(len(w), 1.0 / len(w))
+    w -= m
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
 def ada_update(
@@ -76,18 +105,21 @@ def ada_update(
     """Accumulate R and C increments for awake experts.
 
     ``sampling_dist`` is the awake-restricted distribution the action was
-    sampled from; it must put no mass on asleep experts.
+    sampled from; it must put no mass on asleep experts.  The increment is
+    the reward minus its expectation under that distribution at the awake
+    experts and 0.0 at the asleep ones.
     """
     awake = np.asarray(awake, dtype=bool)
     rewards = np.asarray(rewards, dtype=float)
     p = np.asarray(sampling_dist, dtype=float)
-    if np.any(p[~awake] > 0):
+    if np.count_nonzero(p[~awake] > 0):
         raise ValueError("sampling distribution puts mass on an asleep expert")
     expected = float(p @ rewards)
-    delta = np.where(awake, rewards - expected, 0.0)
-    return SleepingExpertState(
-        state.regrets + delta, state.magnitudes + np.abs(delta)
-    )
+    delta = np.zeros(len(p))
+    np.subtract(rewards, expected, out=delta, where=awake)
+    regrets = state.regrets + delta
+    np.abs(delta, out=delta)
+    return SleepingExpertState(regrets, state.magnitudes + delta)
 
 
 def sleeping_reward_completion(
@@ -100,22 +132,25 @@ def sleeping_reward_completion(
     expectation under ``p`` coincide with the awake-restricted one.
     """
     awake = np.asarray(awake, dtype=bool)
-    if not awake.any():
+    if not np.count_nonzero(awake):
         raise ValueError("at least one expert must be awake")
-    r = np.clip(np.asarray(ucb_rewards, dtype=float), 0.0, 1.0)
-    p = np.asarray(p, dtype=float)
-    mass = p[awake].sum()
+    r = np.asarray(ucb_rewards, dtype=float).clip(0.0, 1.0)
+    p = np.asarray(p, dtype=float)[awake]
+    awake_r = r[awake]
+    mass = p.sum()
     if mass > 0:
-        fill = float(p[awake] @ r[awake]) / mass
+        fill = float(p @ awake_r) / mass
     else:
-        fill = float(r[awake].mean())
-    return np.where(awake, r, fill)
+        fill = float(awake_r.mean())
+    r[~awake] = fill
+    return r
 
 
 def hedge_predict(state: HedgeState) -> np.ndarray:
-    logw = state.log_weights - np.max(state.log_weights)
-    w = np.exp(logw)
-    return w / w.sum()
+    w = state.log_weights - state.log_weights.max()
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
 def hedge_update(state: HedgeState, rewards: np.ndarray) -> HedgeState:
@@ -123,4 +158,6 @@ def hedge_update(state: HedgeState, rewards: np.ndarray) -> HedgeState:
     rewards = np.asarray(rewards, dtype=float)
     t = state.rounds_seen + 1
     eta = 2.0 * np.sqrt(np.log(len(state.log_weights)) / t)
-    return HedgeState(state.log_weights + eta * rewards, t)
+    log_weights = eta * rewards
+    log_weights += state.log_weights
+    return HedgeState(log_weights, t)

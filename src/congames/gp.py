@@ -57,12 +57,21 @@ the realized information gain 0.5 * logdet(I + K / s2), which is summed
 per observation and feeds the confidence-width schedule.
 
 Inputs are keyed by their bytes after adding 0.0, which turns -0.0 into
-0.0, so the two name one input.
+0.0, so the two name one input; a query row's key is its slice of the
+bytes of the whole query.
 
 A model built with ``outputs=(M,)`` takes M targets per input: P, the
 jitter and the information gain are shared, and the sums, alpha and means
 gain a trailing target axis, updated elementwise and queried one column of
 alpha at a time, so each target gets bit for bit a one-target model's values.
+
+The formulas above are evaluated with few numpy calls: the updates do
+their scalar arithmetic on Python floats, and the queries and bounds work
+in place on arrays they computed or gathered themselves, with the same
+ufuncs on the same operands as the plain expressions, so every value is
+bit for bit theirs (``tests/test_exact_rewrites.py`` keeps those
+expressions as oracles).  The bounds overwrite the means that
+:meth:`GpModel.posterior_batch` returned.
 """
 
 from __future__ import annotations
@@ -177,11 +186,15 @@ class GpModel:
         return self._U[:self._size].copy()
 
     def add_observation(self, x, y) -> "GpModel":
+        # the finiteness checks count finite entries, which costs less
+        # than .all() and its Python-level reduction wrapper
         y = np.asarray(y, dtype=float)[()]  # one target: a scalar, for cheap arithmetic
-        if y.shape != self.outputs or not np.isfinite(y).all():
+        if y.shape != self.outputs or not (
+            np.count_nonzero(np.isfinite(y)) == y.size if y.shape else math.isfinite(y)
+        ):
             raise ValueError(f"observation target must be finite, of shape {self.outputs}")
         x = np.asarray(x, dtype=float).ravel() + 0.0
-        if not np.isfinite(x).all():
+        if np.count_nonzero(np.isfinite(x)) < x.size:
             raise ValueError("observation input must be finite")
         query, self._query = self._query, None
         j = self._row.get(x.tobytes())
@@ -208,9 +221,11 @@ class GpModel:
             b = query.ks[col]
             k = self._pending
             if k:
-                b = b + (self._c[:k] * query.g[:, col]) @ self._V[:k, :u]
-            kxx = query.prior[col]
-            cc = kvec @ b
+                # the query was dropped above, so its row of K'S is free to take the sum
+                b += (self._c[:k] * query.g[:, col]) @ self._V[:k, :u]
+            # Python floats for the scalar arithmetic below
+            kxx = float(query.prior[col])
+            cc = float(kvec @ b)
             resid = y - query.means[col]
         else:
             kxx = evaluate(self.kernel, x, x)
@@ -255,24 +270,27 @@ class GpModel:
         D_jj - D_jj^2 P_jj.
         """
         u, k = self._size, self._pending
-        n = self._counts[j]
-        d_jj = self.noise_variance / n + self._jitter[j]
-        delta = self.noise_variance / (n * (n + 1.0))
+        noise = self.noise_variance
+        n = float(self._counts[j])
+        d_jj = noise / n + float(self._jitter[j])
+        delta = noise / (n * (n + 1.0))
         # row j of S is its column j up to rounding, and is contiguous
         p = self._S[j, :u].copy()
         if k:
             V = self._V[:k, :u]
             p += (self._c[:k] * V[:, j]) @ V
-        p_jj = p[j]
+        p_jj = float(p[j])
         rho = 1.0 - delta * p_jj
         if rho <= 0.0:
             raise FactorizationError("Sherman-Morrison update of a repeated input broke down")
         s = delta / rho
-        d_ybar = (self._sums[j] + y) / (n + 1.0) - self._sums[j] / n
+        sums = self._sums[j]
+        total = sums + y
+        d_ybar = total / (n + 1.0) - sums / n
         coef = s * self._alpha[j] + (1.0 + s * p_jj) * d_ybar
         self._alpha[:u] += np.multiply.outer(p, coef)
         self._counts[j] = n + 1.0
-        self._sums[j] += y
+        self._sums[j] = total
         self._push(p, s)
         return d_jj - d_jj * d_jj * p_jj
 
@@ -322,21 +340,36 @@ class GpModel:
         if k:
             quad += self._c[:k] @ (g * g)
         prior = diag(self.kernel, X)
-        # a product per contiguous column: a strided one or a gemm may round otherwise
+        # a product per contiguous column: a strided one or a gemm may round
+        # otherwise; the (M, n) stack of them is read through its transpose
         alpha = self._alpha[:u]
-        means = np.column_stack([kt @ a.copy() for a in alpha.T]) if self.outputs else kt @ alpha
-        return _Query(cols, kt, ks, g, prior, means, prior - quad)
+        means = np.array([kt @ a.copy() for a in alpha.T]).T if self.outputs else kt @ alpha
+        return _Query(cols, kt, ks, g, prior, means, np.subtract(prior, quad, out=quad))
 
     def _closed(self, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at the training inputs U_j."""
         n = self._counts[j]
-        d = self.noise_variance / n + self._jitter[j]
-        p_jj = self._S[j, j]
+        d = self.noise_variance / n
+        d += self._jitter[j]
+        # a gather from the diagonal and take() copy the same entries as
+        # fancy indexing, faster; the copies are then worked on in place.
+        # V keeps fancy indexing: its (F-ordered) layout decides how the
+        # product with c rounds
+        p_jj = self._S.diagonal()[j]
         k = self._pending
         if k:
             V = self._V[:k, j]
-            p_jj = p_jj + self._c[:k] @ (V * V)
-        return (self._sums[j].T / n - d * self._alpha[j].T).T, d - d * d * p_jj
+            V *= V
+            p_jj += self._c[:k] @ V
+        # sums_j / n - d alpha_j and d - d d p_jj; the transposes put the
+        # targets first
+        means, scaled = self._sums.take(j, 0), self._alpha.take(j, 0)
+        np.divide(means.T, n, out=means.T)
+        np.multiply(scaled.T, d, out=scaled.T)
+        means -= scaled
+        dd = d * d
+        dd *= p_jj
+        return means, np.subtract(d, dd, out=dd)
 
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means ``(n, *outputs)`` and stds ``(n,)`` at the n rows
@@ -345,34 +378,46 @@ class GpModel:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        if not np.isfinite(X).all():
+        if np.count_nonzero(np.isfinite(X)) < X.size:
             raise ValueError("query inputs must be finite")
         if self._size == 0:
             stds = np.sqrt(np.maximum(diag(self.kernel, X), 0.0))
             return np.zeros((len(X), *self.outputs)), stds
         X = X + 0.0
-        keys = [x.tobytes() for x in X]
-        rows = [self._row.get(key, -1) for key in keys]
-        new = [i for i, j in enumerate(rows) if j < 0]
-        if not new:
+        # each row's key is its slice of the C-order bytes of X
+        data, width = X.tobytes(), X.shape[1] * X.itemsize
+        keys = [data[i * width:(i + 1) * width] for i in range(len(X))]
+        get = self._row.get
+        rows = [get(key, -1) for key in keys]
+        if -1 not in rows:
             means, var = self._closed(np.array(rows, dtype=np.intp))
+        elif max(rows) < 0:
+            # no row is a training input: X is the dense query as it stands
+            query = self._dense(X, dict(zip(keys, range(len(keys)))))
+            self._query = query
+            # a copy: the kept means give the update its residual
+            means, var = query.means.copy(), query.var
         else:
+            new = [i for i, j in enumerate(rows) if j < 0]
             query = self._dense(X[new], {keys[i]: c for c, i in enumerate(new)})
             self._query = query
-            if len(new) == len(rows):
-                # a copy: the kept means give the update its residual
-                means, var = query.means.copy(), query.var
-            else:
-                seen = [i for i, j in enumerate(rows) if j >= 0]
-                means, var = np.empty((len(rows), *self.outputs)), np.empty(len(rows))
-                means[seen], var[seen] = self._closed(np.array([rows[i] for i in seen]))
-                means[new], var[new] = query.means, query.var
-        return means, np.sqrt(np.maximum(var, 0.0))
+            seen = [i for i, j in enumerate(rows) if j >= 0]
+            means, var = np.empty((len(rows), *self.outputs)), np.empty(len(rows))
+            means[seen], var[seen] = self._closed(np.array([rows[i] for i in seen]))
+            means[new], var[new] = query.means, query.var
+        stds = np.maximum(var, 0.0)
+        return means, np.sqrt(stds, out=stds)
 
     def ucb_batch(self, X, beta_value: float) -> np.ndarray:
+        """means + beta_value * stds per target, in place on the fresh means."""
         means, stds = self.posterior_batch(X)
-        return (means.T + beta_value * stds).T
+        stds *= beta_value
+        np.add(means.T, stds, out=means.T)
+        return means
 
     def lcb_batch(self, X, beta_value: float) -> np.ndarray:
+        """means - beta_value * stds per target, in place on the fresh means."""
         means, stds = self.posterior_batch(X)
-        return (means.T - beta_value * stds).T
+        stds *= beta_value
+        np.subtract(means.T, stds, out=means.T)
+        return means

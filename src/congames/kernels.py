@@ -29,8 +29,10 @@ class SquaredExponential:
             raise KernelError("lengthscale squared must be a positive finite number")
 
     def pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        # exp(-d2 / 2 l^2) in place: the sign moves into the divisor exactly
         d2 = _sqdists(X, Y)
-        return np.exp(-d2 / (2.0 * self.lengthscale**2))
+        d2 /= -(2.0 * self.lengthscale**2)
+        return np.exp(d2, out=d2)
 
     def diagonal(self, X: np.ndarray) -> np.ndarray:
         return np.ones(len(X))
@@ -118,13 +120,17 @@ class Product:
 
     def pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         s = self._split(X)
-        return self.left.pairwise(X[:, :s], Y[:, :s]) * self.right.pairwise(
-            X[:, s:], Y[:, s:]
-        )
+        # every pairwise and diagonal returns a fresh array, so the product
+        # can overwrite the left factor
+        out = self.left.pairwise(X[:, :s], Y[:, :s])
+        out *= self.right.pairwise(X[:, s:], Y[:, s:])
+        return out
 
     def diagonal(self, X: np.ndarray) -> np.ndarray:
         s = self._split(X)
-        return self.left.diagonal(X[:, :s]) * self.right.diagonal(X[:, s:])
+        out = self.left.diagonal(X[:, :s])
+        out *= self.right.diagonal(X[:, s:])
+        return out
 
     def _split(self, X: np.ndarray) -> int:
         if self.split_index >= X.shape[1]:

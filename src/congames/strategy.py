@@ -71,13 +71,14 @@ class InfeasibilityDeclared(RuntimeError):
 def renormalize(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Restrict p to the masked-in set and renormalize (uniform fallback)."""
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    if not np.count_nonzero(mask):
         raise ValueError("empty feasible set")
     restricted = np.where(mask, p, 0.0)
     total = restricted.sum()
     if total <= 0.0:
         return mask / mask.sum()
-    return restricted / total
+    restricted /= total
+    return restricted
 
 
 @dataclass
@@ -193,7 +194,7 @@ class ContextRouter:
         sampled from."""
         state = self.states[key]
         if self.expert_rule == ADA_NORMAL_HEDGE:
-            rhat = np.clip(ucbs, 0.0, 1.0)
+            rhat = ucbs.clip(0.0, 1.0)
             self.states[key] = experts.ada_update(state, mask, rhat, pbar)
         else:
             completed = experts.sleeping_reward_completion(ucbs, mask, p)
@@ -286,15 +287,15 @@ class Player:
         bucket = self.router.route(z)
         p = self.router.predict(bucket)
         mask = self.feasible_mask(z)
-        if not mask.any():
+        if not np.count_nonzero(mask):
             self.infeasible = True
             raise InfeasibilityDeclared(cfg.player_index, z)
         pbar = renormalize(p, mask)
-        action = int(np.searchsorted(np.cumsum(pbar), self.rng.random(), side="right"))
+        action = int(pbar.cumsum().searchsorted(self.rng.random(), side="right"))
         self.round = (z, bucket, p, mask, pbar)
         # the cumulative sum can end just below 1; a draw past its end
         # plays the last action with mass, never an asleep one
-        return min(action, int(np.flatnonzero(pbar)[-1]))
+        return min(action, int(pbar.nonzero()[0][-1]))
 
     def observe_feedback(self, own_action: int, opponents_actions,
                          noisy_reward: float, noisy_constraints) -> None:
@@ -308,8 +309,8 @@ class Player:
             raise ValueError("constraint feedback length mismatch")
         z, bucket, p, mask, pbar = self.round
         self.round = None
-        awake = np.flatnonzero(mask)
-        row = int(np.searchsorted(awake, own_action))
+        awake = mask.nonzero()[0]
+        row = int(awake.searchsorted(own_action))
         if row == len(awake) or awake[row] != own_action:
             raise ValueError(f"action {own_action} was asleep this round")
 
@@ -318,7 +319,7 @@ class Player:
         candidates = self._reward_inputs(opponents_actions, z, awake)
         ucbs = np.zeros(cfg.num_actions)
         ucbs[awake] = self.reward_gp.ucb_batch(candidates, self.reward_beta())
-        self.clamp_events += int(np.sum(ucbs < 0.0))
+        self.clamp_events += int(np.count_nonzero(ucbs < 0.0))
         self.router.update(bucket, mask, ucbs, p, pbar)
 
         # append observations after the expert update so estimates above

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import congames
@@ -15,6 +16,10 @@ from congames.config import ConfigError, GeneratorParams, parse_config
 from congames.game import generate_random_game
 from congames.kernels import SquaredExponential
 from congames.strategy import CZ_ADA_NORMAL_GP, RANDOM
+
+
+# the most entries numpy can index along one axis
+INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def base_config(**overrides):
@@ -200,6 +205,26 @@ class TestErrors:
         ("[]", r"^top level must be an object$"),
     ], ids=["huge-obs-noise", "seed-of-4400-digits", "not-json", "top-level-list"])
     def test_unreadable_document(self, tmp_path, capsys, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("text, message", [
+        (base_config(game={"generate": {"K": 10**400}}),
+         rf"^\.game\.generate\.K: must be at most {INTP_MAX}$"),
+        (base_config(game={"generate": {"Z": 10**30}}),
+         rf"^\.game\.generate\.Z: must be at most {INTP_MAX}$"),
+        (base_config(T=10**400), rf"^\.T: must be at most {INTP_MAX}$"),
+        # each count fits, but a reward table of 2**21**3 * 2 = 2**64 entries does not
+        (base_config(game={"generate": {"num_players": 3, "K": 2**21, "Z": 2}}),
+         rf"^\.game\.generate: K\*\*num_players \* Z reward-table entries exceed {INTP_MAX}$"),
+    ], ids=["K-1e400", "Z-1e30", "T-1e400", "table-2**64"])
+    def test_size_numpy_cannot_index(self, tmp_path, capsys, text, message):
+        """A count, horizon or reward table beyond numpy's index range is a
+        config error with exit 1, not a seed that fails inside numpy."""
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
         path = tmp_path / "config.json"

@@ -7,6 +7,10 @@ with noise scale 0.3.  A ``feasible_quantile`` of 0.7 leaves room for
 every seed to play to T, and at M >= 1 the constraint filter drops an
 action in most rounds, so the filter and each learner's M violation
 bounds are in the files.
+A further case plays the Hedge learners at M=1 on the same game:
+``z_gpmw`` at beta scale 1.0, ``gpmw`` at 0.5 and a random player.  It
+pins the reduced-Hedge rule (prediction, update and the completion of
+asleep rewards), which the M-sweep's learners do not run.
 The digests are sha256 of ``summary.json`` and each ``rounds_seed*.csv``
 as written; BLAS runs on one thread, so they do not depend on the core
 count.  To print them for the code at hand, run this file as a script:
@@ -48,28 +52,36 @@ GOLDEN = {
         "rounds_seed1.csv": "0131a06e2d19e3614684cb0103b98055238cc35abec9898e91de8dcd70278141",
     },
 }
+# recorded before the expert rules were rewritten in place
+HEDGE_GOLDEN = {
+    "summary.json": "10a92117d2b84eac0ac6b38ee9c841f4eb4cdfbe565447880364d4b48b03f5a0",
+    "rounds_seed0.csv": "9a87c34356e41300bd482d7abd6685b654ceb1394291ef8fc873adb3ba75d437",
+    "rounds_seed1.csv": "303041029c5b1fd683caf9ed7d5b6e3814c5022225979b75b2edccc8e60610d6",
+}
+LEARNERS = ("cz_ada_normal_gp", "c_ada_normal_gp")
+HEDGE_LEARNERS = ("z_gpmw", "gpmw")
 
 
-def config(num_constraints: int) -> dict:
+def config(num_constraints: int, learners=LEARNERS) -> dict:
     return {
         "game": {"generate": {"num_players": 3, "K": 5, "Z": 3,
                               "num_constraints": num_constraints,
                               "feasible_quantile": 0.7, "noise_scale": 0.3}},
         "T": 300,
         "seeds": SEEDS,
-        "players": [{"algorithm": "cz_ada_normal_gp", "beta_scale": 1.0,
+        "players": [{"algorithm": learners[0], "beta_scale": 1.0,
                      "noise_scale": 0.3},
-                    {"algorithm": "c_ada_normal_gp", "beta_scale": 0.5,
+                    {"algorithm": learners[1], "beta_scale": 0.5,
                      "noise_scale": 0.3},
                     {"algorithm": "random"}],
     }
 
 
-def digests(num_constraints: int, tmp: Path) -> dict[str, str]:
+def digests(num_constraints: int, tmp: Path, learners=LEARNERS) -> dict[str, str]:
     """sha256 of the run's summary and round files, after checking that
     every seed played to T."""
     path = tmp / "config.json"
-    path.write_text(json.dumps(config(num_constraints)))
+    path.write_text(json.dumps(config(num_constraints, learners)))
     out = tmp / "out"
     assert main(["run", str(path), "--out", str(out), "--parallel", "1"]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -84,10 +96,16 @@ def test_outputs_are_byte_identical(tmp_path, num_constraints):
     assert digests(num_constraints, tmp_path) == GOLDEN[num_constraints]
 
 
+def test_hedge_outputs_are_byte_identical(tmp_path):
+    assert digests(1, tmp_path, HEDGE_LEARNERS) == HEDGE_GOLDEN
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         found = {}
         for m in range(4):
             (Path(tmp) / str(m)).mkdir()
             found[m] = digests(m, Path(tmp) / str(m))
+        (Path(tmp) / "hedge").mkdir()
+        found["hedge"] = digests(1, Path(tmp) / "hedge", HEDGE_LEARNERS)
         json.dump(found, sys.stdout, indent=4)

@@ -203,17 +203,44 @@ def check_exit(game_doc, config):
         assert "NaN" not in text
 
 
-# a table entry and a player setting beyond the float range, which the
-# derandomized draws miss
-HUGE_LEAF = copy.deepcopy(GAME)
-HUGE_LEAF["rewards"][0][0][0][0] = 10**400
-HUGE_SETTING = copy.deepcopy(CONFIG)
-HUGE_SETTING["players"][0]["delta"] = 10**400
+def game_with(key, value, path=()):
+    """GAME with ``value`` at ``game[key][path...]``, or as ``game[key]``."""
+    doc = copy.deepcopy(GAME)
+    if not path:
+        doc[key] = value
+        return doc
+    owner = doc[key]
+    for i in path[:-1]:
+        owner = owner[i]
+    owner[path[-1]] = value
+    return doc
+
+
+def config_with(key, value):
+    """CONFIG with the learner's setting ``key`` set to ``value``."""
+    config = copy.deepcopy(CONFIG)
+    config["players"][0][key] = value
+    return config
+
+
+# The 80 derandomized examples of each test never draw these entries of
+# COUNTS, LEAVES and SETTINGS (as a player setting), so each is given as an
+# explicit example; a value added to those lists needs one too unless the
+# draws reach it.
+HUGE_LEAF = game_with("rewards", 10**400, (0, 0, 0, 0))
+HUGE_SETTING = config_with("delta", 10**400)
 
 
 @FUZZ
 @given(game_documents(), st.sampled_from(ALGORITHMS))
 @example(HUGE_LEAF, ALGORITHMS[0])
+@example(game_with("num_actions", 3), ALGORITHMS[0])
+@example(game_with("num_contexts", -1), ALGORITHMS[0])
+@example(game_with("num_players", None), ALGORITHMS[0])
+@example(game_with("reward_noise", -1.0, (0,)), ALGORITHMS[0])
+@example(game_with("rewards", "a", (1, 0, 1, 0)), ALGORITHMS[0])
+@example(game_with("constraints", True, (0, 0, 1)), ALGORITHMS[0])
+@example(game_with("constraint_noise", [1.0], (1, 0)), ALGORITHMS[0])
 def test_mutated_game_file_runs_or_exits_1(game_doc, algorithm):
     config = copy.deepcopy(CONFIG)
     config["players"][0]["algorithm"] = algorithm
@@ -223,6 +250,13 @@ def test_mutated_game_file_runs_or_exits_1(game_doc, algorithm):
 @FUZZ
 @given(configs(), BASE_GAMES)
 @example(HUGE_SETTING, GAME)
+@example(config_with("beta_scale", 0.0), GAME)
+@example(config_with("noise_scale", 1e-320), GAME)
+@example(config_with("delta", 0.5), GAME)
+@example(config_with("delta", 0.999999), GAME_M2)
+@example(config_with("rkhs_bound", 1e200), GAME)
+@example(config_with("beta_scale", INF), GAME)
+@example(config_with("noise_scale", None), GAME)
 def test_mutated_config_runs_or_exits_1(config, game_doc):
     check_exit(game_doc, config)
 
