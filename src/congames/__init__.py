@@ -14,7 +14,6 @@ from .experts import (
     ada_update,
     hedge_predict,
     hedge_update,
-    sleeping_reward_completion,
 )
 from .game import (
     GameDefinition,
@@ -45,7 +44,6 @@ from .metrics import (
     cce_epsilon,
     compute_report,
     constrained_regret,
-    cumulative_violations,
     empirical_policy,
     theorem_bounds,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "compute_report",
     "constrained_regret",
     "cross",
-    "cumulative_violations",
     "default_constraint_kernel",
     "default_reward_kernel",
     "empirical_policy",
@@ -101,7 +98,6 @@ __all__ = [
     "kernel_to_config",
     "renormalize",
     "run",
-    "sleeping_reward_completion",
     "theorem_bounds",
     "uniform_finite_schedule",
 ]

@@ -480,6 +480,27 @@ def cmd_generate_game(args) -> int:
     return 0
 
 
+def _final_row(path: Path) -> dict | None:
+    """The last data row of a per-seed CSV, its round count and regret and
+    violation cells as numbers, or None for a header-only file; ValueError
+    for a row without a ``t`` or with a cell missing or not a number."""
+    with path.open() as fh:
+        last = None
+        for last in csv.DictReader(fh):
+            pass
+    if last is None:
+        return None
+    if None in last or None in last.values():
+        raise ValueError("the last row and the header differ in length")
+    if "t" not in last:
+        raise ValueError("no 't' column")
+    return {
+        "seed_file": path.name,
+        "rounds": int(last["t"]),
+        **{k: float(v) for k, v in last.items() if k.startswith(("regret_", "viol_"))},
+    }
+
+
 def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     csvs = sorted(out_dir.glob("rounds_seed*.csv"))
@@ -488,23 +509,15 @@ def cmd_report(args) -> int:
         return 1
     finals = []
     for path in csvs:
-        with path.open() as fh:
-            reader = csv.DictReader(fh)
-            last = None
-            for last in reader:
-                pass
-        if last is not None:
-            finals.append(
-                {
-                    "seed_file": path.name,
-                    "rounds": int(last["t"]),
-                    **{
-                        k: float(v)
-                        for k, v in last.items()
-                        if k.startswith(("regret_", "viol_"))
-                    },
-                }
-            )
+        try:
+            final = _final_row(path)
+            if finals and final and final.keys() != finals[0].keys():
+                raise ValueError(f"its columns differ from {finals[0]['seed_file']}'s")
+        except (OSError, ValueError, csv.Error) as exc:
+            print(f"report error: {path}: {exc}", file=sys.stderr)
+            return 1
+        if final is not None:
+            finals.append(final)
     if not finals:
         print(f"no per-seed CSV in {out_dir} has a data row", file=sys.stderr)
         return 1
@@ -520,7 +533,11 @@ def cmd_report(args) -> int:
         },
     }
     text = json_text(report)
-    (out_dir / "report.json").write_text(text)
+    try:
+        (out_dir / "report.json").write_text(text)
+    except OSError as exc:
+        print(f"report error: {exc}", file=sys.stderr)
+        return 1
     print(text)
     return 0
 

@@ -1,12 +1,12 @@
-"""Sleeping-expert update rules.
+"""Expert update rules.
 
-Two interchangeable rules drive the per-context action distributions:
+Two rules drive the per-context action distributions:
 
-* an adaptive potential-based rule whose weights depend on each expert's
-  cumulative regret R and cumulative magnitude C, and
-* plain Hedge wrapped in the sleeping-to-expert reduction (asleep entries
-  of the reward vector are filled so the expert algorithm is indifferent
-  to them).
+* AdaNormalHedge's sleeping experts, an adaptive potential-based rule
+  whose weights depend on each expert's cumulative regret R and
+  cumulative magnitude C, for learners whose constraint filter puts
+  actions to sleep, and
+* plain Hedge, for learners with no filter, whose actions are all awake.
 
 All operations are pure: they return fresh state objects and never
 write to an argument.  The arithmetic runs in place on arrays each call
@@ -120,30 +120,6 @@ def ada_update(
     regrets = state.regrets + delta
     np.abs(delta, out=delta)
     return SleepingExpertState(regrets, state.magnitudes + delta)
-
-
-def sleeping_reward_completion(
-    ucb_rewards: np.ndarray, awake: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """Complete a reward vector so asleep entries are expectation-neutral.
-
-    Awake entries are the clamped optimistic rewards; asleep entries all
-    equal the awake-restricted expected reward, which makes the full-vector
-    expectation under ``p`` coincide with the awake-restricted one.
-    """
-    awake = np.asarray(awake, dtype=bool)
-    if not np.count_nonzero(awake):
-        raise ValueError("at least one expert must be awake")
-    r = np.asarray(ucb_rewards, dtype=float).clip(0.0, 1.0)
-    p = np.asarray(p, dtype=float)[awake]
-    awake_r = r[awake]
-    mass = p.sum()
-    if mass > 0:
-        fill = float(p @ awake_r) / mass
-    else:
-        fill = float(awake_r.mean())
-    r[~awake] = fill
-    return r
 
 
 def hedge_predict(state: HedgeState) -> np.ndarray:

@@ -86,13 +86,6 @@ def constrained_regret(
     return _oracle(trajectory, game, player).regret
 
 
-def cumulative_violations(
-    trajectory: Trajectory, game: GameDefinition, player: int
-) -> np.ndarray:
-    """Per-constraint cumulative positive parts, shape (M, T)."""
-    return _oracle(trajectory, game, player).violations
-
-
 def empirical_policy(trajectory: Trajectory) -> dict[int, dict[tuple, float]]:
     """Per-context empirical distribution over played joint actions, keyed
     in order of first play."""

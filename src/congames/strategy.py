@@ -14,15 +14,15 @@ GPs from the player's own noisy feedback.
 
 The reward GP is queried at the awake actions only: AdaNormalHedge
 weighs an asleep action's reward by its zero sampling mass and masks its
-increment, and the Hedge reduction overwrites it.  So
+increment, and a Hedge learner has no asleep action.  So
 ``Player.clamp_events`` counts the negative (clamped) reward UCBs of
 awake actions, the only ones an update reads.
 
 Only this module reads what an algorithm means: the multiplicative-
 weights learners build no constraint model, non-contextual variants
-collapse the router to a single bucket, and the router applies the
-algorithm's expert rule.  The random baseline plays uniform and learns
-nothing: a :class:`UniformPlayer` is a seeded column of actions.
+collapse the router to a single bucket, and the expert rule follows the
+filter.  The random baseline plays uniform and learns nothing: a
+:class:`UniformPlayer` is a seeded column of actions.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from . import experts
 from .gp import ConfidenceParams, GpModel, beta
 from .kernels import KernelSpec
 
-ADA_NORMAL_HEDGE = "ada_normal_hedge"
-REDUCED_HEDGE = "reduced_hedge"
-
 CZ_ADA_NORMAL_GP = "cz_ada_normal_gp"
 C_ADA_NORMAL_GP = "c_ada_normal_gp"
 Z_GPMW = "z_gpmw"
@@ -46,15 +43,12 @@ RANDOM = "random"
 
 ALGORITHMS = (CZ_ADA_NORMAL_GP, C_ADA_NORMAL_GP, Z_GPMW, GPMW, RANDOM)
 
-# which code paths each learning algorithm enables
+# which code paths each learning algorithm enables.  The expert rule
+# follows the constraint filter: a filtered learner has asleep actions and
+# runs AdaNormalHedge's sleeping experts; an unfiltered one never has, and
+# runs Hedge on the full reward vector.
 USES_CONTEXT = {CZ_ADA_NORMAL_GP: True, C_ADA_NORMAL_GP: False, Z_GPMW: True, GPMW: False}
 USES_CONSTRAINTS = {CZ_ADA_NORMAL_GP: True, C_ADA_NORMAL_GP: True, Z_GPMW: False, GPMW: False}
-EXPERT_RULE = {
-    CZ_ADA_NORMAL_GP: ADA_NORMAL_HEDGE,
-    C_ADA_NORMAL_GP: ADA_NORMAL_HEDGE,
-    Z_GPMW: REDUCED_HEDGE,
-    GPMW: REDUCED_HEDGE,
-}
 
 
 class InfeasibilityDeclared(RuntimeError):
@@ -102,7 +96,7 @@ class PlayerConfig:
             raise ValueError("num_actions must be at least 2")
         if self.num_contexts < 1:
             raise ValueError("num_contexts must be at least 1")
-        if self.algorithm not in EXPERT_RULE:
+        if self.algorithm not in USES_CONTEXT:
             raise ValueError(f"{self.algorithm!r} is not a learning algorithm")
         if self.reward_kernel is None or self.confidence is None:
             raise ValueError(
@@ -116,11 +110,6 @@ class PlayerConfig:
     def num_constraints(self) -> int:
         """The game's constraint count M, as the confidence block holds it."""
         return self.confidence.num_constraints
-
-    @property
-    def expert_rule(self) -> str:
-        """Fixed by the algorithm."""
-        return EXPERT_RULE[self.algorithm]
 
     @property
     def uses_context(self) -> bool:
@@ -152,25 +141,21 @@ class UniformPlayer:
 
 class ContextRouter:
     """Maps context ids to per-bucket expert states and applies the
-    expert rule to them.
+    expert rule to them: AdaNormalHedge's sleeping experts when
+    ``sleeping``, else Hedge, whose actions are all awake.
 
     A contextual learner keeps one bucket per context id in [0, Z); a
     non-contextual one plays every context from bucket 0.  A bucket's
     state is created on the first visit.
     """
 
-    def __init__(self, num_contexts: int, num_actions: int, expert_rule: str,
+    def __init__(self, num_contexts: int, num_actions: int, sleeping: bool,
                  use_context: bool):
         self.num_contexts = num_contexts
         self.num_actions = num_actions
-        self.expert_rule = expert_rule
+        self.sleeping = sleeping
         self.use_context = use_context
         self.states: dict[int, experts.SleepingExpertState | experts.HedgeState] = {}
-
-    def _fresh_state(self):
-        if self.expert_rule == ADA_NORMAL_HEDGE:
-            return experts.SleepingExpertState.fresh(self.num_actions)
-        return experts.HedgeState.fresh(self.num_actions)
 
     def route(self, z) -> int:
         """Return the bucket key for context z, creating it if needed."""
@@ -178,31 +163,31 @@ class ContextRouter:
         if not 0 <= key < self.num_contexts:
             raise ValueError(f"context id {key} out of range")
         if key not in self.states:
-            self.states[key] = self._fresh_state()
+            kind = experts.SleepingExpertState if self.sleeping else experts.HedgeState
+            self.states[key] = kind.fresh(self.num_actions)
         return key
 
     def predict(self, key: int) -> np.ndarray:
         state = self.states[key]
-        if self.expert_rule == ADA_NORMAL_HEDGE:
+        if self.sleeping:
             return experts.ada_predict(state)
         return experts.hedge_predict(state)
 
     def update(self, key: int, mask: np.ndarray, ucbs: np.ndarray,
-               p: np.ndarray, pbar: np.ndarray) -> None:
+               pbar: np.ndarray) -> None:
         """Update bucket ``key`` from the awake mask, the reward UCBs (an
-        asleep action's entry is not read), p, and the pbar the action was
+        asleep action's entry is not read) and the pbar the action was
         sampled from."""
+        rhat = ucbs.clip(0.0, 1.0)
         state = self.states[key]
-        if self.expert_rule == ADA_NORMAL_HEDGE:
-            rhat = ucbs.clip(0.0, 1.0)
+        if self.sleeping:
             self.states[key] = experts.ada_update(state, mask, rhat, pbar)
         else:
-            completed = experts.sleeping_reward_completion(ucbs, mask, p)
-            self.states[key] = experts.hedge_update(state, completed)
+            self.states[key] = experts.hedge_update(state, rhat)
 
     def magnitudes(self) -> list[np.ndarray] | None:
         """Each bucket's magnitude vector C; None under Hedge."""
-        if self.expert_rule != ADA_NORMAL_HEDGE:
+        if not self.sleeping:
             return None
         return [state.magnitudes for state in self.states.values()]
 
@@ -215,7 +200,7 @@ class Player:
         self.rng = np.random.default_rng(config.seed)
         self.clamp_events = 0
         self.infeasible = False
-        # the open round: (z, bucket, p, mask, pbar), or None between rounds
+        # the open round: (z, bucket, mask, pbar), or None between rounds
         self.round: tuple | None = None
         noise_variance = config.confidence.noise_scale**2
         self.reward_gp = GpModel(config.reward_kernel, noise_variance)
@@ -225,7 +210,7 @@ class Player:
             [GpModel(config.constraint_kernel, noise_variance, (M,))] if M else []
         )
         self.router = ContextRouter(
-            config.num_contexts, config.num_actions, config.expert_rule,
+            config.num_contexts, config.num_actions, config.uses_constraints,
             config.uses_context,
         )
         # the constraint model's inputs: every own action, one row each
@@ -275,11 +260,11 @@ class Player:
     def select_action(self, z) -> int:
         """Open a round: sample a feasible action for context z.
 
-        Keeps the context, the bucket, its expert distribution p, the
-        feasibility mask and the renormalized distribution pbar that the
-        action was sampled from in :attr:`round` for
-        :meth:`observe_feedback`.  Raises :class:`InfeasibilityDeclared`
-        when no action passes the filter, and in every later round.
+        Keeps the context, the bucket, the feasibility mask and the
+        renormalized expert distribution pbar that the action was sampled
+        from in :attr:`round` for :meth:`observe_feedback`.  Raises
+        :class:`InfeasibilityDeclared` when no action passes the filter,
+        and in every later round.
         """
         cfg = self.config
         if self.infeasible:
@@ -292,7 +277,7 @@ class Player:
             raise InfeasibilityDeclared(cfg.player_index, z)
         pbar = renormalize(p, mask)
         action = int(pbar.cumsum().searchsorted(self.rng.random(), side="right"))
-        self.round = (z, bucket, p, mask, pbar)
+        self.round = (z, bucket, mask, pbar)
         # the cumulative sum can end just below 1; a draw past its end
         # plays the last action with mass, never an asleep one
         return min(action, int(pbar.nonzero()[0][-1]))
@@ -307,7 +292,7 @@ class Player:
         noisy_constraints = np.asarray(noisy_constraints, dtype=float)
         if cfg.uses_constraints and len(noisy_constraints) != cfg.num_constraints:
             raise ValueError("constraint feedback length mismatch")
-        z, bucket, p, mask, pbar = self.round
+        z, bucket, mask, pbar = self.round
         self.round = None
         awake = mask.nonzero()[0]
         row = int(awake.searchsorted(own_action))
@@ -320,7 +305,7 @@ class Player:
         ucbs = np.zeros(cfg.num_actions)
         ucbs[awake] = self.reward_gp.ucb_batch(candidates, self.reward_beta())
         self.clamp_events += int(np.count_nonzero(ucbs < 0.0))
-        self.router.update(bucket, mask, ucbs, p, pbar)
+        self.router.update(bucket, mask, ucbs, pbar)
 
         # append observations after the expert update so estimates above
         # used the pre-round posterior

@@ -28,8 +28,8 @@ import pytest
 
 from congames import game as gm
 from congames import metrics as mt
-from congames.cli import build_player, main, worker_pool
-from congames.config import PlayerBlock
+from congames.cli import main, run_seed, worker_pool
+from congames.config import parse_config
 from congames.experts import SleepingExpertState, ada_predict, ada_update
 from congames.gp import GpModel
 from congames.kernels import (
@@ -68,57 +68,35 @@ def _report(criterion: str, passed: bool, detail: str):
 # -- criteria 3-6 shared experiment -----------------------------------------
 
 def _run_one(args):
-    """One (seed, algorithm) cell of the reproduction grid."""
+    """One (seed, algorithm) cell of the reproduction grid, played as
+    ``congames run`` plays a seed: the generated B.3.1 game (N=3, K=7,
+    Z=5), the learner as player 0 and two random players."""
     seed, algorithm = args
-    game = gm.generate_random_game(seed)  # B.3.1 defaults: N=3, K=7, Z=5
-    schedule = gm.uniform_finite_schedule(
-        game.num_contexts, HORIZON, 1_000_003 * seed + 1
-    )
-    blocks = [PlayerBlock(algorithm=algorithm, beta_scale=BETA_SCALE[algorithm]),
-              PlayerBlock(), PlayerBlock()]
-    players = [
-        build_player(b, game, i, 1_000_003 * seed + 10 + i)
-        for i, b in enumerate(blocks)
-    ]
-    trajectory = gm.run(game, players, schedule, noise_seed=1_000_003 * seed + 2)
-    out = {"seed": seed, "algorithm": algorithm, "status": trajectory.status}
-    if trajectory.status != "completed":
+    config = parse_config(json.dumps({
+        "game": {"generate": {}},
+        "T": HORIZON,
+        "seeds": [seed],
+        "players": [{"algorithm": algorithm, "beta_scale": BETA_SCALE[algorithm]}, {}, {}],
+    }))
+    result = run_seed(config, seed)
+    out = {"seed": seed, "algorithm": algorithm, "status": result["status"]}
+    if result["status"] != "completed":
         return out
 
-    out["regret"] = mt.constrained_regret(trajectory, game, 0)
-    out["violations"] = mt.cumulative_violations(trajectory, game, 0)
+    out["regret"] = result["regret"][0]
+    out["violations"] = result["violations"][0]
 
     # criterion 6 bookkeeping: epsilon vs the Proposition cap over players
-    eps, _ = mt.cce_epsilon(trajectory, game)
-    T = trajectory.num_rounds
     cap = max(
-        max(mt.constrained_regret(trajectory, game, i)[-1] / T for i in range(3)),
-        max(
-            float(mt.cumulative_violations(trajectory, game, i)[:, -1].max()) / T
-            for i in range(3)
-        ),
+        max(result["final_regret"]) / HORIZON,
+        max(max(v) for v in result["final_violations"]) / HORIZON,
     )
-    out["cce_consistent"] = bool(eps <= cap + 1e-9)
+    out["cce_consistent"] = bool(result["cce_eps"] <= cap + 1e-9)
 
     # criterion 4 bookkeeping for the full learner
-    learner = players[0]
     if algorithm == "cz_ada_normal_gp":
-        magnitudes = [
-            s.magnitudes
-            for s in learner.router.states.values()
-            if isinstance(s, SleepingExpertState)
-        ]
-        regret_bound, violation_bounds = mt.theorem_bounds(
-            num_actions=game.num_actions,
-            num_contexts=game.num_contexts,
-            T=T,
-            confidence=learner.config.confidence,
-            reward_info_gain=learner.reward_gp.running_info_gain,
-            constraint_info_gains=learner.constraint_info_gains(),
-            expert_magnitudes=magnitudes,
-        )
-        out["regret_bound"] = regret_bound
-        out["violation_bounds"] = violation_bounds
+        out["regret_bound"] = result["bounds"]["0"]["regret_bound"]
+        out["violation_bounds"] = result["bounds"]["0"]["violation_bounds"]
     return out
 
 

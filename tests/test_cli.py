@@ -596,6 +596,33 @@ class TestReport:
         assert "data row" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    GOOD = "t,z,a0,regret_p0,viol_p0_m0\r\n1,0,1,0.5,0.1\r\n"
+
+    @pytest.mark.parametrize("files, named", [
+        ({"rounds_seed0.csv": "z,a0,regret_p0\r\n0,1,0.5\r\n"}, "rounds_seed0.csv"),
+        ({"rounds_seed0.csv": "t,z,a0,regret_p0\r\n1,0,1,oops\r\n"}, "rounds_seed0.csv"),
+        ({"rounds_seed0.csv": "t,z,a0,regret_p0\r\n1.5,0,1,0.5\r\n"}, "rounds_seed0.csv"),
+        ({"rounds_seed0.csv": "t,z,a0,regret_p0\r\n1,0\r\n"}, "rounds_seed0.csv"),
+        ({"rounds_seed0.csv": "t,z,a0,regret_p0\r\n1,0,1,0.5,9\r\n"}, "rounds_seed0.csv"),
+        ({"rounds_seed0.csv": GOOD, "rounds_seed1.csv": "t,z,a0,regret_p0\r\n1,0,1,0.4\r\n"},
+         "rounds_seed1.csv"),
+        ({"rounds_seed0.csv": "t,z,a0,regret_p0\r\n1,0,1,0.4\r\n", "rounds_seed1.csv": GOOD},
+         "rounds_seed1.csv"),
+        ({"rounds_seed0.csv": GOOD, "report.json": None}, "report.json"),
+    ], ids=["no_t_column", "not_a_number", "fractional_t", "short_row", "long_row",
+            "missing_column", "extra_column", "unwritable_report"])
+    def test_bad_file_named_on_one_line(self, tmp_path, capsys, files, named):
+        for name, text in files.items():
+            if text is None:
+                (tmp_path / name).mkdir()  # a directory cannot be written as a file
+            else:
+                (tmp_path / name).write_text(text)
+        assert main(["report", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and str(tmp_path / named) in err
+        assert "Traceback" not in err
+
 
 class TestBuildPlayer:
     """One value per learner setting, and the algorithm decides the rest."""

@@ -26,7 +26,6 @@ from congames.experts import (
     ada_update,
     hedge_predict,
     hedge_update,
-    sleeping_reward_completion,
 )
 from congames.gp import BASE_JITTER, MAX_JITTER, FactorizationError, GpModel, _Query
 from congames.kernels import (
@@ -86,16 +85,6 @@ def old_ada_update(R, C, awake, rewards, p):
     expected = float(p @ rewards)
     delta = np.where(awake, rewards - expected, 0.0)
     return R + delta, C + np.abs(delta)
-
-
-def old_completion(ucb_rewards, awake, p):
-    r = np.clip(np.asarray(ucb_rewards, dtype=float), 0.0, 1.0)
-    mass = p[awake].sum()
-    if mass > 0:
-        fill = float(p[awake] @ r[awake]) / mass
-    else:
-        fill = float(r[awake].mean())
-    return np.where(awake, r, fill)
 
 
 def old_hedge_predict(log_weights):
@@ -333,15 +322,6 @@ def test_ada_update(R, C, inputs):
     want_R, want_C = old_ada_update(R, C, awake, rewards, p)
     same(state.regrets, want_R)
     same(state.magnitudes, want_C)
-
-
-@EXACT
-@given(arrays(float, K, elements=REAL), awake_masks(),
-       arrays(float, K, elements=st.one_of(UNIT, st.just(0.0))))
-@example(np.linspace(-1.0, 2.0, K), np.arange(K) == 3, np.zeros(K))
-@example(np.linspace(-1.0, 2.0, K), np.arange(K) < 3, np.where(np.arange(K) < 3, 0.0, 0.5))
-def test_sleeping_reward_completion(ucbs, awake, p):
-    same(sleeping_reward_completion(ucbs, awake, p), old_completion(ucbs, awake, p))
 
 
 @EXACT

@@ -12,7 +12,6 @@ from congames.experts import (
     ada_update,
     hedge_predict,
     hedge_update,
-    sleeping_reward_completion,
 )
 
 
@@ -132,48 +131,6 @@ class TestAdaUpdate:
             p = p / p.sum() if p.sum() > 0 else awake / awake.sum()
             state = ada_update(state, awake, rng.random(4), p)
             assert np.all(np.abs(state.regrets) <= state.magnitudes + 1e-12)
-
-
-class TestSleepingCompletion:
-    def test_all_awake_clamps(self):
-        out = sleeping_reward_completion(
-            np.array([1.4, -0.2, 0.6]),
-            np.ones(3, dtype=bool),
-            np.full(3, 1.0 / 3.0),
-        )
-        np.testing.assert_allclose(out, [1.0, 0.0, 0.6], atol=1e-12)
-
-    def test_hand_fill_value(self):
-        out = sleeping_reward_completion(
-            np.array([0.8, 0.9, 0.4]),
-            np.array([True, False, True]),
-            np.full(3, 1.0 / 3.0),
-        )
-        np.testing.assert_allclose(out, [0.8, 0.6, 0.4], atol=1e-12)
-
-    def test_expected_reward_invariant(self):
-        # filling asleep entries with the awake-restricted expectation makes
-        # the completed vector satisfy p^T rhat = pbar^T rhat
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            K = 5
-            awake = rng.random(K) < 0.6
-            if not awake.any():
-                continue
-            p = rng.random(K)
-            p /= p.sum()
-            ucbs = rng.uniform(-0.5, 1.5, size=K)
-            out = sleeping_reward_completion(ucbs, awake, p)
-            pbar = np.where(awake, p, 0.0)
-            pbar /= pbar.sum()
-            assert p @ out == pytest.approx(pbar @ out, abs=1e-12)
-            assert np.all((out >= 0) & (out <= 1))
-
-    def test_no_awake_rejected(self):
-        with pytest.raises(ValueError):
-            sleeping_reward_completion(
-                np.array([0.5, 0.5]), np.zeros(2, dtype=bool), np.full(2, 0.5)
-            )
 
 
 class TestHedge:

@@ -9,8 +9,8 @@ action in most rounds, so the filter and each learner's M violation
 bounds are in the files.
 A further case plays the Hedge learners at M=1 on the same game:
 ``z_gpmw`` at beta scale 1.0, ``gpmw`` at 0.5 and a random player.  It
-pins the reduced-Hedge rule (prediction, update and the completion of
-asleep rewards), which the M-sweep's learners do not run.
+pins the Hedge rule (prediction, and the update from the clamped reward
+UCBs), which the M-sweep's learners do not run.
 The digests are sha256 of ``summary.json`` and each ``rounds_seed*.csv``
 as written; BLAS runs on one thread, so they do not depend on the core
 count.  To print them for the code at hand, run this file as a script:

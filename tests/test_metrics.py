@@ -20,7 +20,6 @@ from congames.metrics import (
     cce_epsilon,
     compute_report,
     constrained_regret,
-    cumulative_violations,
     empirical_policy,
     theorem_bounds,
 )
@@ -208,7 +207,7 @@ class TestBruteForceOracle:
                     constrained_regret(traj, game, i), regret,
                     rtol=1e-12, atol=1e-12,
                 )
-                got = cumulative_violations(traj, game, i)
+                got = compute_report(traj, game).violations[i]
                 assert got.shape == (game.num_constraints, T)
                 np.testing.assert_allclose(got, violations, rtol=1e-12, atol=1e-12)
                 terms += [gap] + list(violations[:, -1] / T if T else [])
@@ -247,7 +246,7 @@ class TestViolations:
         game = hand_game(np.full((2, 2), 0.5))
         traj = make_trajectory(game, [(0, (0, 0)), (0, (1, 1))])
         np.testing.assert_allclose(
-            cumulative_violations(traj, game, 0), np.zeros((1, 2))
+            compute_report(traj, game).violations[0], np.zeros((1, 2))
         )
 
     def test_positive_part_accumulates(self):
@@ -256,7 +255,7 @@ class TestViolations:
         )
         traj = make_trajectory(game, [(0, (0, 0)), (0, (1, 0)), (0, (0, 1))])
         np.testing.assert_allclose(
-            cumulative_violations(traj, game, 0), [[0.3, 0.3, 0.6]]
+            compute_report(traj, game).violations[0], [[0.3, 0.3, 0.6]]
         )
 
     def test_matches_rescan_oracle(self):
@@ -267,7 +266,7 @@ class TestViolations:
             for _ in range(30)
         ]
         traj = make_trajectory(game, plays)
-        got = cumulative_violations(traj, game, 0)
+        got = compute_report(traj, game).violations[0]
         acc = 0.0
         for t, (z, (a0, _)) in enumerate(plays):
             g = game.constraint_values(0, a0, z)[0]
@@ -316,7 +315,7 @@ class TestEmpiricalPolicyAndCce:
                     constrained_regret(traj, game, i)[-1] / T for i in range(2)
                 ),
                 max(
-                    cumulative_violations(traj, game, i).max() / T
+                    compute_report(traj, game).violations[i].max() / T
                     for i in range(2)
                 ),
             )
@@ -414,9 +413,6 @@ class TestReport:
         for i in range(2):
             np.testing.assert_array_equal(
                 report.regret[i], constrained_regret(traj, game, i)
-            )
-            np.testing.assert_array_equal(
-                report.violations[i], cumulative_violations(traj, game, i)
             )
             assert report.best_policy[i] == best_feasible_policy(traj, game, i)
         eps, terms = cce_epsilon(traj, game)

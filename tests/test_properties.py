@@ -9,7 +9,6 @@ from congames.experts import (
     SleepingExpertState,
     ada_predict,
     ada_update,
-    sleeping_reward_completion,
 )
 from congames.kernels import Matern, SquaredExponential, evaluate
 from congames.strategy import renormalize
@@ -66,23 +65,6 @@ def test_ada_update_triangle_invariant(awake, rewards, forced_awake):
     p = renormalize(ada_predict(state), awake)
     state = ada_update(state, awake, rewards, p)
     assert np.all(np.abs(state.regrets) <= state.magnitudes + 1e-12)
-
-
-@given(
-    arrays(float, 5, elements=st.floats(-1.0, 2.0)),
-    arrays(bool, 5),
-    st.integers(0, 4),
-)
-@settings(max_examples=200)
-def test_completion_in_unit_box_and_invariant(ucbs, awake, forced_awake):
-    awake = awake.copy()
-    awake[forced_awake] = True
-    p = np.full(5, 0.2)
-    out = sleeping_reward_completion(ucbs, awake, p)
-    assert np.all((out >= 0.0) & (out <= 1.0))
-    pbar = np.where(awake, p, 0.0)
-    pbar /= pbar.sum()
-    assert abs(p @ out - pbar @ out) <= 1e-12
 
 
 @given(

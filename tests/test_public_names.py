@@ -1,0 +1,60 @@
+"""Every name the package exports is read by the system that uses it.
+
+A stand-in for a linter's dead-code rule at the package boundary, on the
+standard library alone: each name in ``congames.__all__`` must be read by
+some module of ``src/congames`` other than ``__init__.py`` (whose imports
+and ``__all__`` are the exports themselves), of ``demos/`` or of
+``perfbench/``.  A read is a bare name, a module attribute
+(``metrics_mod.name``) or a string literal equal to the name, since the
+benchmark's tracer names the functions it wraps as strings.  Tests do
+not count: public API that only its own tests read should go.
+"""
+
+import ast
+from pathlib import Path
+
+import congames
+
+PACKAGE = Path(congames.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
+READERS = [
+    *(p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"),
+    *sorted((ROOT / "demos").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
+
+
+def names_read(source: str) -> set[str]:
+    """The names a module reads: loaded names, attributes and strings."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_detector():
+    source = (
+        "from congames import kept, unused\n"
+        "import congames.metrics as mt\n"
+        "PROBES = [('congames.experts', None, 'probed', 'span')]\n"
+        "def f(x):\n"
+        "    stored = 1\n"
+        "    return kept(x) + mt.via_attribute(x)\n"
+    )
+    read = names_read(source)
+    assert {"kept", "via_attribute", "probed"} <= read
+    assert not {"unused", "f", "stored"} & read
+
+
+def test_readers_exist():
+    assert {p.parent.name for p in READERS} == {"congames", "demos", "perfbench"}
+
+
+def test_every_public_name_is_read():
+    read = set().union(*(names_read(p.read_text()) for p in READERS))
+    assert sorted(set(congames.__all__) - read) == []

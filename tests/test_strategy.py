@@ -11,13 +11,12 @@ from congames.game import generate_random_game, run, uniform_finite_schedule
 from congames.gp import ConfidenceParams, GpModel
 from congames.kernels import Product, SquaredExponential
 from congames.strategy import (
-    ADA_NORMAL_HEDGE,
     ALGORITHMS,
     C_ADA_NORMAL_GP,
     CZ_ADA_NORMAL_GP,
     GPMW,
     RANDOM,
-    REDUCED_HEDGE,
+    USES_CONSTRAINTS,
     Z_GPMW,
     ContextRouter,
     InfeasibilityDeclared,
@@ -88,16 +87,17 @@ class TestPlayerConfig:
         with pytest.raises(ValueError):
             PlayerConfig(player_index=0, num_actions=3)
 
-    def test_expert_rule_defaults(self):
-        # the algorithm fixes the rule; it is not a setting
-        assert make_config(CZ_ADA_NORMAL_GP).expert_rule == ADA_NORMAL_HEDGE
-        assert make_config(C_ADA_NORMAL_GP).expert_rule == ADA_NORMAL_HEDGE
-        assert make_config(Z_GPMW).expert_rule == REDUCED_HEDGE
-        assert make_config(GPMW).expert_rule == REDUCED_HEDGE
-        with pytest.raises(TypeError):
-            make_config(expert_rule=REDUCED_HEDGE)
-        with pytest.raises(AttributeError):
-            make_config().expert_rule = REDUCED_HEDGE
+    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != RANDOM])
+    def test_expert_rule_follows_the_filter(self, algorithm):
+        # a filtered learner runs sleeping experts, an unfiltered one Hedge
+        player = Player(make_config(algorithm))
+        assert player.router.sleeping == USES_CONSTRAINTS[algorithm]
+        a = player.select_action(1)
+        player.observe_feedback(a, (2,), 0.7, [0.2])
+        state, = player.router.states.values()
+        sleeping = isinstance(state, experts.SleepingExpertState)
+        assert sleeping != isinstance(state, experts.HedgeState)
+        assert sleeping == USES_CONSTRAINTS[algorithm]
 
     def test_constraint_shape_validation(self):
         with pytest.raises(ValueError, match="constraint kernel"):
@@ -133,20 +133,20 @@ class TestUniformPlayer:
 
 class TestContextRouter:
     def test_finite_contexts_keyed_by_id(self):
-        router = ContextRouter(3, 2, ADA_NORMAL_HEDGE, True)
+        router = ContextRouter(3, 2, True, True)
         assert router.route(0) == 0
         assert router.route(2) == 2
         assert router.route(0) == 0
         assert set(router.states) == {0, 2}
 
     def test_finite_context_range_checked(self):
-        router = ContextRouter(3, 2, ADA_NORMAL_HEDGE, True)
+        router = ContextRouter(3, 2, True, True)
         for z in (3, -1):
             with pytest.raises(ValueError):
                 router.route(z)
 
     def test_context_free_single_bucket(self):
-        router = ContextRouter(3, 2, ADA_NORMAL_HEDGE, False)
+        router = ContextRouter(3, 2, True, False)
         assert router.route(0) == router.route(2) == 0
 
 
@@ -288,7 +288,7 @@ class TestRoundMask:
         seen = self.spy_on_updates(monkeypatch)
         for z in (0, 1, 3):
             player.select_action(z)
-        z, bucket, p, mask, pbar = player.round
+        z, bucket, mask, pbar = player.round
         assert (z, bucket) == (3, 3)
         assert mask[1] and not mask[0]
         # constraint data arriving after select_action changes the filter,
@@ -300,7 +300,7 @@ class TestRoundMask:
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0][0], mask)
         np.testing.assert_array_equal(seen[0][1], pbar)
-        np.testing.assert_array_equal(pbar, renormalize(p, mask))
+        np.testing.assert_array_equal(pbar, renormalize(player.router.predict(bucket), mask))
         assert player.round is None
 
     def test_one_filter_per_round(self, monkeypatch):
@@ -350,7 +350,7 @@ class TestSampling:
     def test_observing_an_asleep_action_raises(self):
         player = TestRoundMask.trained_player()
         player.select_action(1)
-        assert not player.round[3][0]
+        assert not player.round[2][0]
         with pytest.raises(ValueError, match="asleep"):
             player.observe_feedback(0, (0,), 0.5, [-0.5])
 
@@ -367,7 +367,7 @@ class TestAwakeQueries:
         # every action's UCB is negative, but action 0 is asleep
         assert np.all(player.reward_gp.ucb_batch(rows, player.reward_beta()) < 0.0)
         a = player.select_action(1)
-        assert player.round[3].tolist() == [False, True, True]
+        assert player.round[2].tolist() == [False, True, True]
         player.observe_feedback(a, (0,), 0.5, [-0.5])
         assert player.clamp_events == 2
 
@@ -377,13 +377,13 @@ class TestAwakeQueries:
 
         def observe_feedback(self, own_action, opponents_actions, noisy_reward,
                              noisy_constraints):
-            z, bucket, p, mask, pbar = self.round
+            z, bucket, mask, pbar = self.round
             self.round = None
             rows = self._reward_inputs(
                 opponents_actions, z, np.arange(self.config.num_actions)
             )
             ucbs = self.reward_gp.ucb_batch(rows, self.reward_beta())
-            self.router.update(bucket, mask, ucbs, p, pbar)
+            self.router.update(bucket, mask, ucbs, pbar)
             self.reward_gp.add_observation(rows[own_action], noisy_reward)
             for gp in self.constraint_gps:
                 gp.add_observation(
@@ -404,9 +404,9 @@ class TestAwakeQueries:
         updates = []
         real_update = learner.router.update
 
-        def recording(key, mask, ucbs, p, pbar):
+        def recording(key, mask, ucbs, pbar):
             updates.append((mask.copy(), ucbs.copy()))
-            real_update(key, mask, ucbs, p, pbar)
+            real_update(key, mask, ucbs, pbar)
 
         learner.router.update = recording
         trajectory = run(game, players, uniform_finite_schedule(2, 200, 1), noise_seed=2)
