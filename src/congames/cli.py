@@ -4,7 +4,6 @@ Subcommands::
 
     congames run <config.json> [--out DIR] [--parallel N] [--seed-override S]
     congames generate-game <config.json> --out FILE
-    congames report <out-dir>
 
 Outputs are deterministic under a fixed config: per-seed per-round CSVs,
 an aggregate ``summary.json``, and a metadata stamp.  Numbers are written
@@ -16,7 +15,6 @@ file that replaces it once complete.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -125,7 +123,8 @@ def _json_key(key) -> str:
 def _encode(obj, newline: str, write: Callable[[str], object]) -> None:
     """Pass the JSON text of ``obj`` to ``write`` in pieces: a key, a
     scalar, or a whole list of floats; ``newline`` is the line break and
-    indent of the enclosing level."""
+    indent of the enclosing level.  Joined, the pieces are ``json.dumps(obj,
+    indent=2, sort_keys=True)`` with floats rounded to 12 significant digits."""
     if isinstance(obj, dict):
         if not obj:
             write("{}")
@@ -164,23 +163,6 @@ def _encode(obj, newline: str, write: Callable[[str], object]) -> None:
         write(json.dumps(int(obj)))
     else:
         write(json.dumps(obj))
-
-
-def json_text(obj) -> str:
-    """``obj`` as the indented, key-sorted JSON text of ``summary.json``:
-    the pieces :func:`_encode` writes, joined.
-
-    Floats, numpy ones included, are rounded to 12 significant digits,
-    numpy arrays are written as flat lists of floats, tuples as lists and
-    numpy integers as ints.  The text is byte for byte what CPython's
-    ``json.dumps(obj, indent=2, sort_keys=True)`` writes for the rounded
-    object, but an indent turns off the C encoder, so here each list or
-    array of floats is rounded and written in one piece
-    (:func:`_float_items`) and indented by a join.
-    """
-    out: list[str] = []
-    _encode(obj, "\n", out.append)
-    return "".join(out)
 
 
 def build_player(
@@ -480,68 +462,6 @@ def cmd_generate_game(args) -> int:
     return 0
 
 
-def _final_row(path: Path) -> dict | None:
-    """The last data row of a per-seed CSV, its round count and regret and
-    violation cells as numbers, or None for a header-only file; ValueError
-    for a row without a ``t`` or with a cell missing or not a number."""
-    with path.open() as fh:
-        last = None
-        for last in csv.DictReader(fh):
-            pass
-    if last is None:
-        return None
-    if None in last or None in last.values():
-        raise ValueError("the last row and the header differ in length")
-    if "t" not in last:
-        raise ValueError("no 't' column")
-    return {
-        "seed_file": path.name,
-        "rounds": int(last["t"]),
-        **{k: float(v) for k, v in last.items() if k.startswith(("regret_", "viol_"))},
-    }
-
-
-def cmd_report(args) -> int:
-    out_dir = Path(args.out_dir)
-    csvs = sorted(out_dir.glob("rounds_seed*.csv"))
-    if not csvs:
-        print(f"no per-seed CSVs found in {out_dir}", file=sys.stderr)
-        return 1
-    finals = []
-    for path in csvs:
-        try:
-            final = _final_row(path)
-            if finals and final and final.keys() != finals[0].keys():
-                raise ValueError(f"its columns differ from {finals[0]['seed_file']}'s")
-        except (OSError, ValueError, csv.Error) as exc:
-            print(f"report error: {path}: {exc}", file=sys.stderr)
-            return 1
-        if final is not None:
-            finals.append(final)
-    if not finals:
-        print(f"no per-seed CSV in {out_dir} has a data row", file=sys.stderr)
-        return 1
-    keys = [k for k in finals[0] if k.startswith(("regret_", "viol_"))]
-    report = {
-        "num_seeds": len(finals),
-        "per_seed": finals,
-        "mean_final": {
-            k: float(np.mean([f[k] for f in finals])) for k in keys
-        },
-        "std_final": {
-            k: float(np.std([f[k] for f in finals])) for k in keys
-        },
-    }
-    text = json_text(report)
-    try:
-        (out_dir / "report.json").write_text(text)
-    except OSError as exc:
-        print(f"report error: {exc}", file=sys.stderr)
-        return 1
-    print(text)
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="congames",
@@ -560,10 +480,6 @@ def main(argv=None) -> int:
     p_gen.add_argument("config")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate_game)
-
-    p_rep = sub.add_parser("report", help="re-aggregate per-seed CSVs")
-    p_rep.add_argument("out_dir")
-    p_rep.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
     return args.func(args)

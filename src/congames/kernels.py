@@ -201,7 +201,8 @@ def kernel_from_config(obj: dict) -> KernelSpec:
 
     Recognized tags: squared_exponential, matern, polynomial, product.  A
     key the tag does not take raises ``KernelError``, so a misspelled
-    parameter is not silently left at its default.
+    parameter is not silently left at its default, and so does a value that
+    is not a JSON number, or for ``degree`` and ``split_index`` an integer.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise KernelError("kernel config must be an object with a 'type' tag")
@@ -211,20 +212,27 @@ def kernel_from_config(obj: dict) -> KernelSpec:
     unknown = sorted(set(obj) - _KERNEL_KEYS[tag] - {"type"})
     if unknown:
         raise KernelError(f"unknown key {unknown[0]!r} for kernel type {tag!r}")
+
+    def number(key: str, default=None, kind=(int, float)):
+        value = obj.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, kind):  # true is not 1
+            raise KernelError(f"{key} must be {'an integer' if kind is int else 'a number'}")
+        return value if kind is int else float(value)
+
     if tag == "squared_exponential":
-        return SquaredExponential(lengthscale=float(obj["lengthscale"]))
+        return SquaredExponential(lengthscale=number("lengthscale"))
     if tag == "matern":
-        return Matern(lengthscale=float(obj["lengthscale"]), nu=float(obj["nu"]))
+        return Matern(lengthscale=number("lengthscale"), nu=number("nu"))
     if tag == "polynomial":
         return Polynomial(
-            bias=float(obj.get("bias", 0.0)),
-            lengthscale=float(obj.get("lengthscale", 1.0)),
-            degree=int(obj["degree"]),
+            bias=number("bias", 0.0),
+            lengthscale=number("lengthscale", 1.0),
+            degree=number("degree", kind=int),
         )
     return Product(
         left=kernel_from_config(obj["left"]),
         right=kernel_from_config(obj["right"]),
-        split_index=int(obj["split_index"]),
+        split_index=number("split_index", kind=int),
     )
 
 

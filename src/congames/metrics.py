@@ -196,7 +196,7 @@ def compute_report(trajectory: Trajectory, game: GameDefinition) -> MetricsRepor
     if T:
         gaps = {i: o.reward_gap / T for i, o in enumerate(oracles)}
         rates = {i: o.violation_totals / T for i, o in enumerate(oracles)}
-        eps = max([0.0, *gaps.values(), *(v for vs in rates.values() for v in vs)])
+        eps = float(max([0.0, *gaps.values(), *(v for vs in rates.values() for v in vs)]))
         terms = {"reward_gaps": gaps, "violation_rates": rates}
     return MetricsReport(
         regret=dict(enumerate(o.regret for o in oracles)),

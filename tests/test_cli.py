@@ -12,9 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from congames.cli import (
     BLAS_THREADS,
+    _encode,
     _write_seed_csv,
     build_player,
-    json_text,
     main,
     run_seed,
     worker_pool,
@@ -543,6 +543,33 @@ class TestRunCommand:
         lines = (out / "rounds_seed0.csv").read_text().splitlines()
         assert len(lines) == 1 + 2
 
+    def test_summary_lists_a_halted_seed_outside_the_aggregate(self, tmp_path, capsys):
+        # the default game at a narrow beta: one seed plays all T rounds, the
+        # other declares infeasibility early (seed 9, in round 235)
+        T = 1000
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "game": {"generate": {}}, "T": T, "seeds": [8, 9],
+            "players": [{"algorithm": "cz_ada_normal_gp", "beta_scale": 0.15}, {}, {}],
+        }))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        statuses = summary["statuses"]
+        assert statuses == {"8": "completed", "9": "infeasibility_declared"}
+        per_seed = summary["per_seed"]
+        assert per_seed["9"]["num_rounds"] < T == per_seed["8"]["num_rounds"]
+        aggregate = summary["aggregate"]
+        assert aggregate["num_complete"] == 1
+        assert aggregate["mean_final_regret"] == per_seed["8"]["final_regret"]
+        assert [curve[-1] for curve in aggregate["mean_regret"]] == (
+            per_seed["8"]["final_regret"])
+        # summary.json is the one across-seed record: no command re-reads the CSVs
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
+
 
 class TestGenerateGame:
     def test_generate_and_reuse(self, config_path, tmp_path):
@@ -566,62 +593,6 @@ class TestGenerateGame:
         path.write_text(json.dumps(config_doc(game={"path": "x.json"})))
         assert main(["generate-game", str(path), "--out",
                      str(tmp_path / "g.json")]) == 1
-
-
-class TestReport:
-    def test_report_matches_summary(self, config_path, tmp_path):
-        out = tmp_path / "out"
-        main(["run", str(config_path), "--out", str(out)])
-        assert main(["report", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        summary = json.loads((out / "summary.json").read_text())
-        assert report["num_seeds"] == 2
-        # re-aggregated finals must match the summary's per-seed finals
-        for seed in ("0", "1"):
-            per_seed = summary["per_seed"][seed]
-            row = next(
-                r for r in report["per_seed"]
-                if r["seed_file"] == f"rounds_seed{seed}.csv"
-            )
-            assert row["regret_p0"] == pytest.approx(
-                per_seed["final_regret"][0], rel=1e-9
-            )
-
-    def test_empty_dir_errors(self, tmp_path):
-        assert main(["report", str(tmp_path)]) == 1
-
-    def test_header_only_csvs_error(self, tmp_path, capsys):
-        (tmp_path / "rounds_seed0.csv").write_text("t,z,a0,a1,regret_p0\n")
-        assert main(["report", str(tmp_path)]) == 1
-        assert "data row" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
-
-    GOOD = "t,z,a0,regret_p0,viol_p0_m0\r\n1,0,1,0.5,0.1\r\n"
-
-    @pytest.mark.parametrize("files, named", [
-        ({"rounds_seed0.csv": "z,a0,regret_p0\r\n0,1,0.5\r\n"}, "rounds_seed0.csv"),
-        ({"rounds_seed0.csv": "t,z,a0,regret_p0\r\n1,0,1,oops\r\n"}, "rounds_seed0.csv"),
-        ({"rounds_seed0.csv": "t,z,a0,regret_p0\r\n1.5,0,1,0.5\r\n"}, "rounds_seed0.csv"),
-        ({"rounds_seed0.csv": "t,z,a0,regret_p0\r\n1,0\r\n"}, "rounds_seed0.csv"),
-        ({"rounds_seed0.csv": "t,z,a0,regret_p0\r\n1,0,1,0.5,9\r\n"}, "rounds_seed0.csv"),
-        ({"rounds_seed0.csv": GOOD, "rounds_seed1.csv": "t,z,a0,regret_p0\r\n1,0,1,0.4\r\n"},
-         "rounds_seed1.csv"),
-        ({"rounds_seed0.csv": "t,z,a0,regret_p0\r\n1,0,1,0.4\r\n", "rounds_seed1.csv": GOOD},
-         "rounds_seed1.csv"),
-        ({"rounds_seed0.csv": GOOD, "report.json": None}, "report.json"),
-    ], ids=["no_t_column", "not_a_number", "fractional_t", "short_row", "long_row",
-            "missing_column", "extra_column", "unwritable_report"])
-    def test_bad_file_named_on_one_line(self, tmp_path, capsys, files, named):
-        for name, text in files.items():
-            if text is None:
-                (tmp_path / name).mkdir()  # a directory cannot be written as a file
-            else:
-                (tmp_path / name).write_text(text)
-        assert main(["report", str(tmp_path)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.count("\n") == 1 and str(tmp_path / named) in err
-        assert "Traceback" not in err
 
 
 class TestBuildPlayer:
@@ -673,8 +644,15 @@ class TestRunSeedInternals:
         assert len(result["violations"][0][0]) == config.T
 
 
+def json_text(obj) -> str:
+    """``obj`` as ``summary.json`` writes it: the pieces ``_encode`` writes, joined."""
+    out: list[str] = []
+    _encode(obj, "\n", out.append)
+    return "".join(out)
+
+
 def round12_reference(obj):
-    """The rounding ``json_text`` folds in, one value at a time."""
+    """The rounding ``_encode`` folds in, one value at a time."""
     if isinstance(obj, float):
         return float(format(float(obj), ".12g"))
     if isinstance(obj, dict):

@@ -177,6 +177,27 @@ class TestErrors:
     @pytest.mark.parametrize("key, value", [
         ("noise_scale", 0), ("noise_scale", -0.5), ("rkhs_bound", 0),
         ("rkhs_bound", -1), ("beta_scale", -1), ("beta_scale", float("nan")),
+        # kernel parameters are JSON numbers, and degree and split_index integers
+        *(pytest.param(key, kernel, id=name) for name, key, kernel in [
+            ("se-string-lengthscale", "reward_kernel",
+             {"type": "squared_exponential", "lengthscale": "0.5"}),
+            ("se-true-lengthscale", "reward_kernel",
+             {"type": "squared_exponential", "lengthscale": True}),
+            ("matern-string-nu", "reward_kernel",
+             {"type": "matern", "lengthscale": 1.0, "nu": "2.5"}),
+            ("polynomial-string-bias", "constraint_kernel",
+             {"type": "polynomial", "degree": 2, "bias": "1"}),
+            ("polynomial-fractional-degree", "constraint_kernel",
+             {"type": "polynomial", "degree": 1.5}),
+            ("polynomial-string-degree", "constraint_kernel",
+             {"type": "polynomial", "degree": "3"}),
+            ("polynomial-true-degree", "constraint_kernel",
+             {"type": "polynomial", "degree": True}),
+            ("product-fractional-split", "reward_kernel",
+             {"type": "product", "split_index": 1.9,
+              "left": {"type": "squared_exponential", "lengthscale": 1.0},
+              "right": {"type": "squared_exponential", "lengthscale": 1.0}}),
+        ]),
     ])
     def test_bad_player_scale(self, key, value):
         with pytest.raises(ConfigError, match=rf"\.players\[0\]\.{key}: "):

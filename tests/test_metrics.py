@@ -417,6 +417,9 @@ class TestReport:
             assert report.best_policy[i] == best_feasible_policy(traj, game, i)
         eps, terms = cce_epsilon(traj, game)
         assert eps == report.cce_eps >= 0.0
+        # a violation rate, a numpy float, sets eps here; eps is a float whatever sets it
+        assert eps == max(terms["violation_rates"][1]) > max(terms["reward_gaps"].values())
+        assert type(report.cce_eps) is float
         assert terms["reward_gaps"] == report.cce_terms["reward_gaps"]
         for i in range(2):
             np.testing.assert_array_equal(

@@ -7,7 +7,9 @@ and ``__all__`` are the exports themselves), of ``demos/`` or of
 ``perfbench/``.  A read is a bare name, a module attribute
 (``metrics_mod.name``) or a string literal equal to the name, since the
 benchmark's tracer names the functions it wraps as strings.  Tests do
-not count: public API that only its own tests read should go.
+not count: public API that only its own tests read should go.  The same
+holds for every function, class and constant a package module defines at
+top level without a leading underscore, exported or not.
 """
 
 import ast
@@ -58,3 +60,47 @@ def test_readers_exist():
 def test_every_public_name_is_read():
     read = set().union(*(names_read(p.read_text()) for p in READERS))
     assert sorted(set(congames.__all__) - read) == []
+
+
+def public_definitions(source: str) -> list[str]:
+    """The functions, classes and constants a module defines at top level
+    under a name without a leading underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("_")]
+
+
+def test_definition_detector():
+    source = (
+        "import json\n"
+        "LIMIT = 3\n"
+        "_PRIVATE = 4\n"
+        "__all__ = ['f']\n"
+        "shape: tuple = (1, 2)\n"
+        "def f():\n"
+        "    inner = 1\n"
+        "    return inner\n"
+        "class Spec:\n"
+        "    field = 2\n"
+        "if True:\n"
+        "    hidden = 5\n"
+    )
+    assert public_definitions(source) == ["LIMIT", "shape", "f", "Spec"]
+
+
+def test_every_public_definition_is_read():
+    # a module-level name that is not exported, like a helper whose last
+    # caller was deleted, must still have a reader
+    read = set().union(*(names_read(p.read_text()) for p in READERS))
+    unread = [
+        f"{p.stem}.{name}"
+        for p in READERS if p.parent == PACKAGE
+        for name in public_definitions(p.read_text())
+        if name not in read
+    ]
+    assert unread == []
