@@ -19,14 +19,13 @@ import dataclasses
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 import traceback
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +40,9 @@ from .config import (
 )
 from .gp import ConfidenceParams
 from .strategy import RANDOM, USES_CONTEXT, Player, PlayerConfig, UniformPlayer
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _SEED_STRIDE = 1_000_003
 _CSV_BLOCK_ROWS = 4096
@@ -68,8 +70,10 @@ def worker_pool(max_workers: int) -> Iterator[ProcessPoolExecutor]:
     workers that each run a multithreaded BLAS on a few cores make their
     small solves contend.  The pool starts workers as jobs arrive, so the
     variables are set in this process for as long as the pool lives and
-    restored when it closes.
+    restored when it closes.  A serial run never loads the pool modules.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     saved = {name: os.environ.get(name) for name in BLAS_THREADS}
     os.environ.update(BLAS_THREADS)
     try:

@@ -19,7 +19,7 @@ import ctypes
 import functools
 import json
 import numbers
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
@@ -425,25 +425,29 @@ def generate_random_game(
     return game
 
 
-def uniform_finite_schedule(num_contexts: int, T: int, seed: int) -> list[int]:
-    rng = np.random.default_rng(seed)
-    return [int(z) for z in rng.integers(num_contexts, size=T)]
+def uniform_finite_schedule(num_contexts: int, T: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(num_contexts, size=T)
 
 
-def fixed_schedule(contexts, T: int) -> list:
-    contexts = list(contexts)
+def fixed_schedule(contexts: Sequence[int] | np.ndarray, T: int) -> np.ndarray:
+    """The first T of ``contexts`` as a new 1-D int64 array; a float, bool
+    or str context raises ``ValueError`` rather than being cast."""
     if len(contexts) < T:
         raise ValueError("fixed context sequence shorter than the horizon")
-    return contexts[:T]
+    schedule = np.array(contexts[:T])
+    if schedule.ndim != 1 or (schedule.size and schedule.dtype.kind not in "iu"):
+        raise ValueError("a context schedule must be a 1-D sequence of integers")
+    return schedule.astype(np.int64, copy=False)
 
 
 def run(
     game: GameDefinition,
     players: list[Player | UniformPlayer],
-    context_schedule: list,
+    context_schedule: Sequence[int] | np.ndarray,
     noise_seed: int = 0,
 ) -> Trajectory:
-    """Simulate the repeated game round by round.
+    """Simulate the repeated game over ``context_schedule``, any 1-D integer
+    sequence, copied as :func:`fixed_schedule` copies it.
 
     Each ``UniformPlayer``'s action column is drawn before the first
     round; with no learner that is the whole run, and no noise is drawn.
@@ -464,7 +468,7 @@ def run(
     N, M = game.num_players, game.num_constraints
     if len(players) != N:
         raise ValueError("player count does not match the game")
-    contexts = np.array([int(z) for z in context_schedule], dtype=np.int64)
+    contexts = fixed_schedule(context_schedule, len(context_schedule))
     outside = np.flatnonzero((contexts < 0) | (contexts >= game.num_contexts))
     if len(outside):
         t = int(outside[0])

@@ -229,6 +229,8 @@ def kernel_from_config(obj: dict) -> KernelSpec:
             lengthscale=number("lengthscale", 1.0),
             degree=number("degree", kind=int),
         )
+    if missing := sorted({"left", "right"} - set(obj)):
+        raise KernelError(f"missing key {missing[0]!r} for kernel type 'product'")
     return Product(
         left=kernel_from_config(obj["left"]),
         right=kernel_from_config(obj["right"]),

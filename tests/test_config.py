@@ -197,6 +197,12 @@ class TestErrors:
              {"type": "product", "split_index": 1.9,
               "left": {"type": "squared_exponential", "lengthscale": 1.0},
               "right": {"type": "squared_exponential", "lengthscale": 1.0}}),
+            ("product-without-left", "reward_kernel",
+             {"type": "product", "split_index": 1,
+              "right": {"type": "squared_exponential", "lengthscale": 1.0}}),
+            ("product-without-right", "reward_kernel",
+             {"type": "product", "split_index": 1,
+              "left": {"type": "squared_exponential", "lengthscale": 1.0}}),
         ]),
     ])
     def test_bad_player_scale(self, key, value):

@@ -324,12 +324,15 @@ class TestSchedules:
     def test_uniform_finite_deterministic_and_in_range(self):
         s1 = uniform_finite_schedule(4, 100, seed=1)
         s2 = uniform_finite_schedule(4, 100, seed=1)
-        assert s1 == s2
-        assert set(s1) <= {0, 1, 2, 3}
+        assert s1.dtype == s2.dtype == np.int64
+        np.testing.assert_array_equal(s1, s2)
+        assert set(s1.tolist()) <= {0, 1, 2, 3}
         assert len(s1) == 100
 
     def test_fixed_schedule_truncates(self):
-        assert fixed_schedule([0, 1, 0, 1], 3) == [0, 1, 0]
+        schedule = fixed_schedule([0, 1, 0, 1], 3)
+        assert schedule.dtype == np.int64
+        np.testing.assert_array_equal(schedule, [0, 1, 0])
 
     def test_fixed_schedule_too_short(self):
         with pytest.raises(ValueError):
@@ -389,6 +392,43 @@ class TestRun:
         game = tiny_game()
         with pytest.raises(ValueError, match=rf"context {z} at round 3"):
             run(game, random_players(game), [0, 1, z, 0])
+
+    def test_any_integer_sequence_gives_the_same_run(self):
+        game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
+        contexts = [0, 1, 1, 0, 1, 0, 0, 1]
+        trajectories = [
+            run(game, build_players(game, ["random", CZ_ADA_NORMAL_GP]), schedule,
+                noise_seed=3)
+            for schedule in (contexts, tuple(contexts), np.array(contexts, np.int32),
+                             np.array(contexts, np.int64))
+        ]
+        for trajectory in trajectories:
+            assert trajectory.contexts.dtype == np.int64
+            np.testing.assert_array_equal(trajectory.contexts, contexts)
+            np.testing.assert_array_equal(trajectory.actions, trajectories[0].actions)
+
+    def test_trajectory_keeps_a_copy_of_the_contexts(self):
+        game = tiny_game()
+        schedule = np.array([0, 1, 0, 1])
+        traj = run(game, random_players(game), schedule)
+        schedule[:] = 1
+        np.testing.assert_array_equal(traj.contexts, [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("schedule", [
+        [0, 1.5], [True, False], ["1", "0"], np.zeros((2, 2), dtype=np.int64),
+    ], ids=["float", "bool", "str", "2-d"])
+    def test_non_integer_schedule_rejected(self, schedule):
+        # a float, bool or str context is refused, not rounded or cast
+        game = tiny_game()
+        with pytest.raises(ValueError, match="1-D sequence of integers"):
+            run(game, random_players(game), schedule)
+
+    def test_empty_schedule_is_an_empty_completed_run(self):
+        game = tiny_game()
+        traj = run(game, random_players(game), [])
+        assert traj.status == "completed"
+        assert traj.num_rounds == 0
+        assert traj.actions.shape == (0, 2)
 
     def test_halt_keeps_earlier_rounds(self):
         game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)

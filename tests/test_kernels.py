@@ -212,6 +212,15 @@ class TestConfigRoundtrip:
                            rf"type '{obj['type']}'$"):
             kernel_from_config(obj)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_product_missing_factor(self, side):
+        se = {"type": "squared_exponential", "lengthscale": 1.0}
+        obj = {"type": "product", "left": se, "right": se, "split_index": 1}
+        del obj[side]
+        with pytest.raises(KernelError, match=rf"^missing key '{side}' for kernel "
+                           r"type 'product'$"):
+            kernel_from_config(obj)
+
     def test_unknown_key_in_a_factor(self):
         se = {"type": "squared_exponential", "lengthscale": 1.0}
         obj = {"type": "product", "left": se, "right": se | {"nu": 3},
