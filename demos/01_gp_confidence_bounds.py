@@ -7,7 +7,8 @@ running information gain evolve.
 
 import numpy as np
 
-from congames import ConfidenceParams, GpModel, SquaredExponential, beta
+from congames.gp import ConfidenceParams, GpModel, beta
+from congames.kernels import SquaredExponential
 
 
 def target(x):

@@ -8,8 +8,9 @@ under the parameter-free bound.
 
 import numpy as np
 
-from congames import SleepingExpertState, ada_predict, ada_update, renormalize
+from congames.experts import SleepingExpertState, ada_predict, ada_update
 from congames.metrics import adanormal_regret_bound
+from congames.strategy import renormalize
 
 
 def main():

@@ -9,9 +9,9 @@ regret keeps shrinking.
 
 import numpy as np
 
-from congames import generate_random_game, run, uniform_finite_schedule
 from congames.cli import build_player
 from congames.config import PlayerBlock
+from congames.game import generate_random_game, run, uniform_finite_schedule
 from congames.metrics import compute_report
 
 

@@ -6,10 +6,10 @@ equilibrium: the certified epsilon is bounded by the larger of the
 players' average regrets and average violations.
 """
 
-from congames import cce_epsilon, generate_random_game, run, uniform_finite_schedule
 from congames.cli import build_player
 from congames.config import PlayerBlock
-from congames.metrics import compute_report, empirical_policy
+from congames.game import generate_random_game, run, uniform_finite_schedule
+from congames.metrics import cce_epsilon, compute_report, empirical_policy
 
 
 def main():

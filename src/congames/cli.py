@@ -435,15 +435,14 @@ def cmd_run(args) -> int:
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out or config.output_dir or "out")
+    out_dir = Path(args.out or "out")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "metadata.json").write_text(
             json.dumps(_metadata_stamp(text, config), indent=2, sort_keys=True)
         )
     except OSError as exc:
-        where = ".output_dir" if config.output_dir and not args.out else "--out"
-        print(f"config error: {where}: {exc}", file=sys.stderr)
+        print(f"config error: --out: {exc}", file=sys.stderr)
         return 1
     return run_experiment(config, out_dir, parallel=args.parallel, game=game)
 

@@ -134,7 +134,6 @@ class ExperimentConfig:
     seeds: list[int]
     players: list[PlayerBlock]
     schedule: ScheduleBlock
-    output_dir: str | None = None
     bound_checks: bool = True
 
 
@@ -227,8 +226,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:  # malformed, or an int of too many digits
         raise ConfigError("", f"invalid JSON: {exc}") from exc
     allowed = {
-        "game", "T", "seeds", "players", "context_schedule", "output_dir",
-        "bound_checks",
+        "game", "T", "seeds", "players", "context_schedule", "bound_checks",
     }
     _require_keys(doc, allowed, {"game", "T"}, "")
 
@@ -283,9 +281,6 @@ def parse_config(text: str) -> ExperimentConfig:
     elif "contexts" in sched_obj:
         raise ConfigError(".context_schedule.contexts", "needs mode fixed_sequence")
 
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(".output_dir", "must be a string")
     bound_checks = doc.get("bound_checks", True)
     if not isinstance(bound_checks, bool):
         raise ConfigError(".bound_checks", "must be true or false")
@@ -296,7 +291,6 @@ def parse_config(text: str) -> ExperimentConfig:
         seeds=list(seeds),
         players=players,
         schedule=schedule,
-        output_dir=output_dir,
         bound_checks=bound_checks,
     )
     if game.generate is not None:

@@ -431,12 +431,15 @@ def uniform_finite_schedule(num_contexts: int, T: int, seed: int) -> np.ndarray:
 
 def fixed_schedule(contexts: Sequence[int] | np.ndarray, T: int) -> np.ndarray:
     """The first T of ``contexts`` as a new 1-D int64 array; a float, bool
-    or str context raises ``ValueError`` rather than being cast."""
+    or str context, or an unsigned one above the int64 range, raises
+    ``ValueError`` rather than being cast."""
     if len(contexts) < T:
         raise ValueError("fixed context sequence shorter than the horizon")
     schedule = np.array(contexts[:T])
     if schedule.ndim != 1 or (schedule.size and schedule.dtype.kind not in "iu"):
         raise ValueError("a context schedule must be a 1-D sequence of integers")
+    if schedule.dtype.kind == "u" and schedule.size and schedule.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"context {schedule.max()} is above the int64 range")
     return schedule.astype(np.int64, copy=False)
 
 

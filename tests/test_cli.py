@@ -212,26 +212,18 @@ class TestRunCommand:
         )
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("option, out, message", [
-        ("--out", "file", "[Errno 17] File exists: '{file}'"),
-        ("--out", "file/sub", "[Errno 20] Not a directory: '{file}/sub'"),
-        (".output_dir", "file", "[Errno 17] File exists: '{file}'"),
-    ], ids=["existing-file", "below-a-file", "config-output-dir"])
-    def test_unwritable_out_is_config_error(self, tmp_path, capsys, option, out,
-                                            message):
+    @pytest.mark.parametrize("out, message", [
+        ("file", "[Errno 17] File exists: '{file}'"),
+        ("file/sub", "[Errno 20] Not a directory: '{file}/sub'"),
+    ], ids=["existing-file", "below-a-file"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, out, message):
         file = tmp_path / "file"
         file.write_text("kept")
-        out = str(tmp_path / out)
         path = tmp_path / "config.json"
-        if option == "--out":
-            path.write_text(json.dumps(config_doc()))
-            argv = ["run", str(path), "--out", out]
-        else:
-            path.write_text(json.dumps(config_doc(output_dir=out)))
-            argv = ["run", str(path)]
-        assert main(argv) == 1
+        path.write_text(json.dumps(config_doc()))
+        assert main(["run", str(path), "--out", str(tmp_path / out)]) == 1
         message = message.format(file=file)
-        assert capsys.readouterr().err == f"config error: {option}: {message}\n"
+        assert capsys.readouterr().err == f"config error: --out: {message}\n"
         assert file.read_text() == "kept"
 
     def test_missing_config_exit_code(self, tmp_path):

@@ -267,7 +267,7 @@ class TestErrors:
          r"\.context_schedule\.contexts"),
         ({"context_schedule": {"mode": "fixed_sequence", "contexts": [0, 1.0]}},
          r"\.context_schedule\.contexts\[1\]"),
-        ({"output_dir": 5}, r"\.output_dir"),
+        ({"players": []}, r"\.players"),
         ({"bound_checks": "no"}, r"\.bound_checks"),
     ])
     def test_wrong_top_level_value(self, overrides, where):
@@ -324,6 +324,11 @@ class TestErrors:
             parse_config(base_config(players=[
                 {"algorithm": "cz_ada_normal_gp", "expert_rule": "reduced_hedge"}, {},
             ]))
+
+    def test_output_dir_is_not_a_key(self):
+        # --out alone sets the output directory
+        with pytest.raises(ConfigError, match=r"^\.output_dir: unknown key$"):
+            parse_config(base_config(output_dir="x"))
 
     def test_zero_beta_scale_accepted(self):
         config = parse_config(base_config(players=[{"beta_scale": 0}, {}]))

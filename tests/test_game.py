@@ -400,7 +400,7 @@ class TestRun:
             run(game, build_players(game, ["random", CZ_ADA_NORMAL_GP]), schedule,
                 noise_seed=3)
             for schedule in (contexts, tuple(contexts), np.array(contexts, np.int32),
-                             np.array(contexts, np.int64))
+                             np.array(contexts, np.int64), np.array(contexts, np.uint64))
         ]
         for trajectory in trajectories:
             assert trajectory.contexts.dtype == np.int64
@@ -422,6 +422,12 @@ class TestRun:
         game = tiny_game()
         with pytest.raises(ValueError, match="1-D sequence of integers"):
             run(game, random_players(game), schedule)
+
+    def test_uint64_context_above_int64_rejected(self):
+        # a cast would wrap 2**63 to -2**63, a context the caller never gave
+        game = tiny_game()
+        with pytest.raises(ValueError, match=r"^context 9223372036854775808 is above"):
+            run(game, random_players(game), np.array([1, 2**63], dtype=np.uint64))
 
     def test_empty_schedule_is_an_empty_completed_run(self):
         game = tiny_game()

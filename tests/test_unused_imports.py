@@ -1,9 +1,8 @@
 """Every name a package module imports is used in that module.
 
 A stand-in for a linter's unused-import rule, on the standard library
-alone: each ``src/congames/*.py`` but ``__init__.py``, whose imports are
-the package's re-exports, is parsed with ``ast``.  A name counts as used
-when it is read anywhere in the module, annotations included.
+alone: each ``src/congames/*.py`` is parsed with ``ast``.  A name counts
+as used when it is read anywhere in the module, annotations included.
 ``from __future__ import annotations`` binds no name and is exempt.
 """
 
@@ -15,7 +14,7 @@ import pytest
 import congames
 
 PACKAGE = Path(congames.__file__).resolve().parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
