@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    congames run <config.json> [--out DIR] [--parallel N] [--seed-override S]
+    congames run <config.json> [--out DIR] [--parallel N]
     congames generate-game <config.json> --out FILE
 
 Outputs are deterministic under a fixed config: per-seed per-round CSVs,
@@ -426,10 +426,6 @@ def cmd_run(args) -> int:
         text = Path(args.config).read_text()
         config = parse_config(text)
         game = None if config.game.path is None else _check_game_file(config)
-        if args.seed_override is not None:
-            if args.seed_override < 0:
-                raise ConfigError("--seed-override", "must be at least 0")
-            config.seeds = [args.seed_override]
         if args.parallel < 1:
             raise ConfigError("--parallel", "must be at least 1")
     except (OSError, ConfigError) as exc:
@@ -476,7 +472,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--parallel", type=int, default=1)
-    p_run.add_argument("--seed-override", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("generate-game", help="write a serialized game")

@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .kernels import KernelError, KernelSpec, diag, kernel_from_config
+from .kernels import KERNEL_TYPES, KernelError, KernelSpec, diag
 from .strategy import ALGORITHMS, RANDOM, USES_CONSTRAINTS, USES_CONTEXT
 
 DEFAULT_DELTA = 0.1
@@ -89,6 +89,39 @@ def _number(value, path: str) -> float:
     if not abs(value) <= sys.float_info.max:
         raise ConfigError(path, "must be finite")
     return value
+
+
+def parse_kernel(obj, path: str) -> KernelSpec:
+    """Build a kernel from its tagged config object.
+
+    ``type`` names a :data:`~congames.kernels.KERNEL_TYPES` class, whose
+    dataclass fields are the other keys: a field without a default is
+    required, an ``int`` field takes a JSON integer, a ``float`` field a
+    JSON number and any other field a nested kernel object."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "must be an object")
+    tag = obj.get("type")
+    if not isinstance(tag, str) or tag not in KERNEL_TYPES:
+        raise ConfigError(f"{path}.type", f"must be one of {', '.join(KERNEL_TYPES)}")
+    cls = KERNEL_TYPES[tag]
+    params = fields(cls)
+    _require_keys(obj, {"type", *(f.name for f in params)},
+                  {f.name for f in params if f.default is MISSING}, path)
+    values = {}
+    for f in params:
+        if f.name not in obj:
+            continue
+        value, where = obj[f.name], f"{path}.{f.name}"
+        if f.type == "int":
+            values[f.name] = _integer(value, where)
+        elif f.type == "float":
+            values[f.name] = float(_number(value, where))
+        else:
+            values[f.name] = parse_kernel(value, where)
+    try:
+        return cls(**values)
+    except KernelError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 @dataclass
@@ -195,10 +228,7 @@ def _parse_player(obj: dict, path: str) -> PlayerBlock:
             setattr(block, key, float(_number(obj[key], f"{path}.{key}")))
     for key in ("reward_kernel", "constraint_kernel"):
         if key in obj:
-            try:
-                setattr(block, key, kernel_from_config(obj[key]))
-            except Exception as exc:
-                raise ConfigError(f"{path}.{key}", str(exc)) from exc
+            setattr(block, key, parse_kernel(obj[key], f"{path}.{key}"))
     if block.algorithm not in ALGORITHMS:
         raise ConfigError(
             f"{path}.algorithm",

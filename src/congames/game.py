@@ -62,17 +62,6 @@ class GameDefinition:
     def num_constraints(self) -> int:
         return self.constraints[0].shape[0] if self.constraints else 0
 
-    def reward(self, player: int, joint_action, z: int) -> float:
-        return float(self.rewards[player][tuple(joint_action) + (z,)])
-
-    def constraint_values(self, player: int, own_action: int, z: int) -> np.ndarray:
-        table = self.constraints[player]
-        if table.size == 0:
-            return np.zeros(0)
-        if table.ndim == 3:
-            return table[:, own_action, z].astype(float)
-        return table[:, own_action].astype(float)
-
     def constraint_grid(self, player: int) -> np.ndarray:
         """Player's true constraint values over (M, K, Z); context-free
         (M, K) tables are broadcast along Z and an empty table gives M=0."""
@@ -431,12 +420,20 @@ def uniform_finite_schedule(num_contexts: int, T: int, seed: int) -> np.ndarray:
 
 def fixed_schedule(contexts: Sequence[int] | np.ndarray, T: int) -> np.ndarray:
     """The first T of ``contexts`` as a new 1-D int64 array; a float, bool
-    or str context, or an unsigned one above the int64 range, raises
+    or str context, or an integer outside the int64 range, raises
     ``ValueError`` rather than being cast."""
     if len(contexts) < T:
         raise ValueError("fixed context sequence shorter than the horizon")
-    schedule = np.array(contexts[:T])
+    head = contexts[:T]
+    schedule = np.array(head)
     if schedule.ndim != 1 or (schedule.size and schedule.dtype.kind not in "iu"):
+        # Python ints beyond int64 make a float or an object array
+        if schedule.ndim == 1 and all(
+            isinstance(z, int) and not isinstance(z, bool) for z in head
+        ):
+            if (top := max(head)) > np.iinfo(np.int64).max:
+                raise ValueError(f"context {top} is above the int64 range")
+            raise ValueError(f"context {min(head)} is below the int64 range")
         raise ValueError("a context schedule must be a 1-D sequence of integers")
     if schedule.dtype.kind == "u" and schedule.size and schedule.max() > np.iinfo(np.int64).max:
         raise ValueError(f"context {schedule.max()} is above the int64 range")

@@ -8,7 +8,8 @@ are encoded as integer coordinates cast to float).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,9 +81,9 @@ class Matern:
 
 @dataclass(frozen=True)
 class Polynomial:
-    bias: float
-    lengthscale: float
     degree: int
+    bias: float = 0.0
+    lengthscale: float = 1.0
 
     def __post_init__(self):
         if self.bias < 0:
@@ -93,6 +94,9 @@ class Polynomial:
             raise KernelError("bias and lengthscale must be finite")
         if self.degree < 1:
             raise KernelError("degree must be a positive integer")
+        # pairwise raises a float to this power
+        if self.degree > sys.float_info.max:
+            raise KernelError(f"degree must be at most {sys.float_info.max:g}")
 
     def pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return (self.bias + X @ Y.T / self.lengthscale) ** self.degree
@@ -110,8 +114,8 @@ class Product:
     ``[:split_index]``, ``right`` sees ``[split_index:]``.
     """
 
-    left: "KernelSpec"
-    right: "KernelSpec"
+    left: KernelSpec
+    right: KernelSpec
     split_index: int
 
     def __post_init__(self):
@@ -139,6 +143,14 @@ class Product:
 
 
 KernelSpec = SquaredExponential | Matern | Polynomial | Product
+# the config tag of each kernel; a kernel's dataclass fields are its other
+# config keys, read by ``config.parse_kernel``
+KERNEL_TYPES = {
+    "squared_exponential": SquaredExponential,
+    "matern": Matern,
+    "polynomial": Polynomial,
+    "product": Product,
+}
 
 
 def _sqdists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -187,74 +199,14 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-# the keys each kernel tag takes besides "type"
-_KERNEL_KEYS = {
-    "squared_exponential": {"lengthscale"},
-    "matern": {"lengthscale", "nu"},
-    "polynomial": {"bias", "lengthscale", "degree"},
-    "product": {"left", "right", "split_index"},
-}
-
-
-def kernel_from_config(obj: dict) -> KernelSpec:
-    """Build a kernel from a tagged config object.
-
-    Recognized tags: squared_exponential, matern, polynomial, product.  A
-    key the tag does not take raises ``KernelError``, so a misspelled
-    parameter is not silently left at its default, and so does a value that
-    is not a JSON number, or for ``degree`` and ``split_index`` an integer.
-    """
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise KernelError("kernel config must be an object with a 'type' tag")
-    tag = obj["type"]
-    if not isinstance(tag, str) or tag not in _KERNEL_KEYS:
-        raise KernelError(f"unknown kernel type {tag!r}")
-    unknown = sorted(set(obj) - _KERNEL_KEYS[tag] - {"type"})
-    if unknown:
-        raise KernelError(f"unknown key {unknown[0]!r} for kernel type {tag!r}")
-
-    def number(key: str, default=None, kind=(int, float)):
-        value = obj.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, kind):  # true is not 1
-            raise KernelError(f"{key} must be {'an integer' if kind is int else 'a number'}")
-        return value if kind is int else float(value)
-
-    if tag == "squared_exponential":
-        return SquaredExponential(lengthscale=number("lengthscale"))
-    if tag == "matern":
-        return Matern(lengthscale=number("lengthscale"), nu=number("nu"))
-    if tag == "polynomial":
-        return Polynomial(
-            bias=number("bias", 0.0),
-            lengthscale=number("lengthscale", 1.0),
-            degree=number("degree", kind=int),
-        )
-    if missing := sorted({"left", "right"} - set(obj)):
-        raise KernelError(f"missing key {missing[0]!r} for kernel type 'product'")
-    return Product(
-        left=kernel_from_config(obj["left"]),
-        right=kernel_from_config(obj["right"]),
-        split_index=number("split_index", kind=int),
-    )
-
-
 def kernel_to_config(spec: KernelSpec) -> dict:
-    if isinstance(spec, SquaredExponential):
-        return {"type": "squared_exponential", "lengthscale": spec.lengthscale}
-    if isinstance(spec, Matern):
-        return {"type": "matern", "lengthscale": spec.lengthscale, "nu": spec.nu}
-    if isinstance(spec, Polynomial):
-        return {
-            "type": "polynomial",
-            "bias": spec.bias,
-            "lengthscale": spec.lengthscale,
-            "degree": spec.degree,
-        }
-    if isinstance(spec, Product):
-        return {
-            "type": "product",
-            "left": kernel_to_config(spec.left),
-            "right": kernel_to_config(spec.right),
-            "split_index": spec.split_index,
-        }
-    raise KernelError(f"unknown kernel spec {spec!r}")
+    """The tagged config object of ``spec``: its ``type`` and each of its
+    fields, a nested kernel as its own object."""
+    tag = next((t for t, cls in KERNEL_TYPES.items() if type(spec) is cls), None)
+    if tag is None:
+        raise KernelError(f"unknown kernel spec {spec!r}")
+    obj = {"type": tag}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        obj[f.name] = kernel_to_config(value) if f.type == "KernelSpec" else value
+    return obj

@@ -312,7 +312,7 @@ def test_criterion_7_policy_oracle():
 
         def value(pol):
             return sum(
-                game.reward(0, (pol[int(z)], a[1]), int(z))
+                game.rewards[0][pol[int(z)], a[1], int(z)]
                 for z, a in zip(contexts, actions)
             )
 

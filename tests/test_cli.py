@@ -126,6 +126,25 @@ class TestRunCommand:
         assert f".players[0].{key}" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("left, right, message", [
+        ({"type": "squared_exponential", "lengthscale": "x"},
+         {"type": "squared_exponential", "lengthscale": 1.0},
+         ".players[0].reward_kernel.left.lengthscale: must be a number"),
+        ({"type": "squared_exponential", "lengthscale": 1.0},
+         {"type": "matern", "lengthscale": 1.0},
+         ".players[0].reward_kernel.right.nu: missing required key"),
+    ], ids=["left-string-lengthscale", "right-matern-without-nu"])
+    def test_kernel_error_names_the_factor(self, tmp_path, capsys, left, right, message):
+        doc = config_doc(seeds=[0])
+        doc["players"][0]["reward_kernel"] = {
+            "type": "product", "split_index": 2, "left": left, "right": right}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("edit, where", [
         (lambda d: d["game"]["generate"].update(K="3"), ".game.generate.K"),
         (lambda d: d["players"][0].update(delta="abc"), ".players[0].delta"),
@@ -136,7 +155,7 @@ class TestRunCommand:
         (lambda d: d.update(T=True), ".T"),
         (lambda d: d["players"][0].update(reward_kernel={
             "type": "squared_exponential", "lengthscale": 1.0, "lengthscal": 9}),
-         ".players[0].reward_kernel"),
+         ".players[0].reward_kernel.lengthscal"),
     ], ids=["string-K", "string-delta", "int-player", "string-context", "bool-T",
             "kernel-typo"])
     def test_wrong_type_is_config_error(self, tmp_path, capsys, edit, where):
@@ -229,18 +248,14 @@ class TestRunCommand:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 
-    def test_seed_override(self, config_path, tmp_path):
+    def test_no_seed_override_flag(self, config_path, tmp_path, capsys):
+        # the config's seeds are the one place that sets them
         out = tmp_path / "out"
-        main(["run", str(config_path), "--out", str(out), "--seed-override", "7"])
-        assert (out / "rounds_seed7.csv").exists()
-        assert not (out / "rounds_seed0.csv").exists()
-
-    def test_negative_seed_override_is_config_error(self, config_path, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["run", str(config_path), "--out", str(out),
-                     "--seed-override", "-1"]) == 1
-        assert "config error: --seed-override: " in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(config_path), "--out", str(out), "--seed-override", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed-override 7" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("parallel", ["0", "-2"])
     def test_parallel_below_one_is_config_error(self, config_path, tmp_path,

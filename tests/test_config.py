@@ -174,41 +174,59 @@ class TestErrors:
             parse_config(base_config(context_schedule={
                 "mode": "fixed_sequence", "contexts": [0, 1, z]}))
 
-    @pytest.mark.parametrize("key, value", [
-        ("noise_scale", 0), ("noise_scale", -0.5), ("rkhs_bound", 0),
-        ("rkhs_bound", -1), ("beta_scale", -1), ("beta_scale", float("nan")),
-        # kernel parameters are JSON numbers, and degree and split_index integers
-        *(pytest.param(key, kernel, id=name) for name, key, kernel in [
+    @pytest.mark.parametrize("key, value, message", [
+        *(pytest.param(key, value, f"{key}: ", id=f"{key}-{value}") for key, value in [
+            ("noise_scale", 0), ("noise_scale", -0.5), ("rkhs_bound", 0),
+            ("rkhs_bound", -1), ("beta_scale", -1), ("beta_scale", float("nan")),
+        ]),
+        # kernel parameters are JSON numbers, and degree and split_index
+        # integers; each error names the kernel's key
+        *(pytest.param(key, kernel, message, id=name) for name, key, kernel, message in [
             ("se-string-lengthscale", "reward_kernel",
-             {"type": "squared_exponential", "lengthscale": "0.5"}),
+             {"type": "squared_exponential", "lengthscale": "0.5"},
+             "reward_kernel.lengthscale: must be a number"),
             ("se-true-lengthscale", "reward_kernel",
-             {"type": "squared_exponential", "lengthscale": True}),
+             {"type": "squared_exponential", "lengthscale": True},
+             "reward_kernel.lengthscale: must be a number"),
             ("matern-string-nu", "reward_kernel",
-             {"type": "matern", "lengthscale": 1.0, "nu": "2.5"}),
+             {"type": "matern", "lengthscale": 1.0, "nu": "2.5"},
+             "reward_kernel.nu: must be a number"),
             ("polynomial-string-bias", "constraint_kernel",
-             {"type": "polynomial", "degree": 2, "bias": "1"}),
+             {"type": "polynomial", "degree": 2, "bias": "1"},
+             "constraint_kernel.bias: must be a number"),
             ("polynomial-fractional-degree", "constraint_kernel",
-             {"type": "polynomial", "degree": 1.5}),
+             {"type": "polynomial", "degree": 1.5},
+             "constraint_kernel.degree: must be an integer"),
             ("polynomial-string-degree", "constraint_kernel",
-             {"type": "polynomial", "degree": "3"}),
+             {"type": "polynomial", "degree": "3"},
+             "constraint_kernel.degree: must be an integer"),
             ("polynomial-true-degree", "constraint_kernel",
-             {"type": "polynomial", "degree": True}),
+             {"type": "polynomial", "degree": True},
+             "constraint_kernel.degree: must be an integer"),
+            # a float cannot be raised to a power beyond the float range
+            ("polynomial-huge-degree", "constraint_kernel",
+             {"type": "polynomial", "degree": 10**400},
+             "constraint_kernel: degree must be at most 1.79769e+308"),
             ("product-fractional-split", "reward_kernel",
              {"type": "product", "split_index": 1.9,
               "left": {"type": "squared_exponential", "lengthscale": 1.0},
-              "right": {"type": "squared_exponential", "lengthscale": 1.0}}),
+              "right": {"type": "squared_exponential", "lengthscale": 1.0}},
+             "reward_kernel.split_index: must be an integer"),
             ("product-without-left", "reward_kernel",
              {"type": "product", "split_index": 1,
-              "right": {"type": "squared_exponential", "lengthscale": 1.0}}),
+              "right": {"type": "squared_exponential", "lengthscale": 1.0}},
+             "reward_kernel.left: missing required key"),
             ("product-without-right", "reward_kernel",
              {"type": "product", "split_index": 1,
-              "left": {"type": "squared_exponential", "lengthscale": 1.0}}),
+              "left": {"type": "squared_exponential", "lengthscale": 1.0}},
+             "reward_kernel.right: missing required key"),
         ]),
     ])
-    def test_bad_player_scale(self, key, value):
-        with pytest.raises(ConfigError, match=rf"\.players\[0\]\.{key}: "):
+    def test_bad_player_scale(self, key, value, message):
+        with pytest.raises(ConfigError) as exc:
             parse_config(base_config(players=[{"algorithm": "cz_ada_normal_gp",
                                                key: value}, {}]))
+        assert str(exc.value).startswith(f".players[0].{message}")
 
     @pytest.mark.parametrize("key, value", [
         ("num_players", 1), ("num_players", 2.5), ("num_contexts", True),
@@ -341,8 +359,8 @@ class TestErrors:
     def test_unknown_kernel_key(self):
         kernel = {"type": "squared_exponential", "lengthscale": 1.0,
                   "lengthscal": 9, "nu": 3}
-        with pytest.raises(ConfigError, match=r"^\.players\[1\]\.reward_kernel: unknown "
-                           r"key 'lengthscal' for kernel type 'squared_exponential'$"):
+        with pytest.raises(ConfigError,
+                           match=r"^\.players\[1\]\.reward_kernel\.lengthscal: unknown key$"):
             parse_config(base_config(players=[
                 {}, {"algorithm": "cz_ada_normal_gp", "reward_kernel": kernel}]))
 

@@ -350,7 +350,8 @@ KERNELS = [
     SquaredExponential(3.0),
     Product(SquaredExponential(1.0), SquaredExponential(2.0), split_index=3),
     Product(SquaredExponential(0.5), Matern(1.0, 2.5), split_index=2),
-    Product(Polynomial(1.0, 2.0, 2), SquaredExponential(1.5), split_index=1),
+    Product(Polynomial(bias=1.0, lengthscale=2.0, degree=2), SquaredExponential(1.5),
+            split_index=1),
 ]
 
 

@@ -108,16 +108,11 @@ def assert_same_feedback(got, want):
 
 
 class TestGameDefinition:
-    def test_reward_lookup(self):
-        game = tiny_game()
-        assert game.reward(0, (1, 0), 1) == pytest.approx(
-            game.rewards[0][1, 0, 1]
-        )
-
     def test_constraint_lookup_context_free(self):
+        # an (M, K) table holds at every context
         game = tiny_game(constraints=[np.array([[0.2, -0.3]])] * 2)
-        np.testing.assert_allclose(game.constraint_values(0, 0, 1), [0.2])
-        np.testing.assert_allclose(game.constraint_values(1, 1, 0), [-0.3])
+        np.testing.assert_array_equal(game.constraint_grid(0)[:, 0, 1], [0.2])
+        np.testing.assert_array_equal(game.constraint_grid(1)[:, 1, 0], [-0.3])
 
     def test_feasible_actions_mask(self):
         game = tiny_game(constraints=[np.array([[0.2, -0.3]])] * 2)
@@ -362,10 +357,9 @@ class TestRun:
         assert traj.num_rounds == len(fed) == 4
         for t, i, reward, constraints in fed:
             z, joint = traj.contexts[t - 1], traj.actions[t - 1]
-            assert reward == game.reward(i, joint, z)
-            np.testing.assert_array_equal(
-                constraints, game.constraint_values(i, joint[i], z)
-            )
+            # tiny_game's constraint tables are context-free (M, K)
+            assert reward == game.rewards[i][(*joint, z)]
+            np.testing.assert_array_equal(constraints, game.constraints[i][:, joint[i]])
 
     def test_noise_seed_determinism(self):
         game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
@@ -428,6 +422,16 @@ class TestRun:
         game = tiny_game()
         with pytest.raises(ValueError, match=r"^context 9223372036854775808 is above"):
             run(game, random_players(game), np.array([1, 2**63], dtype=np.uint64))
+
+    @pytest.mark.parametrize("contexts, message", [
+        ([1, 2**63], "context 9223372036854775808 is above the int64 range"),
+        ([1, 2**64], "context 18446744073709551616 is above the int64 range"),
+        ([1, -2**63 - 1], "context -9223372036854775809 is below the int64 range"),
+    ], ids=["2**63", "2**64", "-2**63-1"])
+    def test_python_int_outside_int64_rejected(self, contexts, message):
+        # np.array makes these lists float64 or object arrays
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            fixed_schedule(contexts, 2)
 
     def test_empty_schedule_is_an_empty_completed_run(self):
         game = tiny_game()

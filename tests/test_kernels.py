@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from congames.config import ConfigError, parse_kernel
 from congames.game import (
     default_constraint_kernel,
     default_reward_kernel,
@@ -21,7 +22,6 @@ from congames.kernels import (
     diag,
     evaluate,
     gram,
-    kernel_from_config,
     kernel_to_config,
 )
 
@@ -191,42 +191,45 @@ class TestGram:
 class TestConfigRoundtrip:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_roundtrip(self, spec):
-        assert kernel_from_config(kernel_to_config(spec)) == spec
+        assert parse_kernel(kernel_to_config(spec), "") == spec
 
     def test_unknown_type(self):
-        with pytest.raises(KernelError):
-            kernel_from_config({"type": "laplacian"})
+        with pytest.raises(ConfigError, match=r"^\.type: must be one of squared_exponential, "
+                           r"matern, polynomial, product$"):
+            parse_kernel({"type": "laplacian"}, "")
 
     def test_generated_game_kernels_roundtrip(self):
         game = generate_random_game(0, num_players=2, num_actions=3, num_contexts=2)
         metadata = json.loads(game.to_json())["metadata"]
         for key, spec in (("reward_kernel", default_reward_kernel(2)),
                           ("constraint_kernel", default_constraint_kernel())):
-            assert kernel_from_config(metadata[key]) == spec
+            assert parse_kernel(metadata[key], "") == spec
             assert kernel_to_config(spec) == metadata[key]
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_unknown_key(self, spec):
         obj = kernel_to_config(spec) | {"lengthscal": 9}
-        with pytest.raises(KernelError, match=r"^unknown key 'lengthscal' for kernel "
-                           rf"type '{obj['type']}'$"):
-            kernel_from_config(obj)
+        with pytest.raises(ConfigError, match=r"^\.k\.lengthscal: unknown key$"):
+            parse_kernel(obj, ".k")
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_product_missing_factor(self, side):
         se = {"type": "squared_exponential", "lengthscale": 1.0}
         obj = {"type": "product", "left": se, "right": se, "split_index": 1}
         del obj[side]
-        with pytest.raises(KernelError, match=rf"^missing key '{side}' for kernel "
-                           r"type 'product'$"):
-            kernel_from_config(obj)
+        with pytest.raises(ConfigError, match=rf"^\.k\.{side}: missing required key$"):
+            parse_kernel(obj, ".k")
 
     def test_unknown_key_in_a_factor(self):
         se = {"type": "squared_exponential", "lengthscale": 1.0}
         obj = {"type": "product", "left": se, "right": se | {"nu": 3},
                "split_index": 1}
-        with pytest.raises(KernelError, match="unknown key 'nu'"):
-            kernel_from_config(obj)
+        with pytest.raises(ConfigError, match=r"^\.k\.right\.nu: unknown key$"):
+            parse_kernel(obj, ".k")
+
+    def test_polynomial_defaults(self):
+        assert parse_kernel({"type": "polynomial", "degree": 2}, "") == Polynomial(
+            degree=2, bias=0.0, lengthscale=1.0)
 
     @pytest.mark.parametrize("make", [
         lambda: SquaredExponential(lengthscale=1e200),  # 2 l^2 overflows

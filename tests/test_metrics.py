@@ -35,6 +35,20 @@ def make_trajectory(game, plays):
     return Trajectory(contexts, actions)
 
 
+def true_reward(game, player, joint, z):
+    return float(game.rewards[player][(*joint, z)])
+
+
+def true_constraints(game, player, action, z):
+    """The player's true constraint values at its own action and context z,
+    read from the raw (M, K) or (M, K, Z) table: the oracles do not go
+    through ``constraint_grid``, the path the metrics use."""
+    table = game.constraints[player]
+    if table.size == 0:
+        return np.zeros(0)
+    return table[:, action, z] if table.ndim == 3 else table[:, action]
+
+
 def hand_game(r0, constraints0=None):
     """2-player 1-context game; player 0 rewards r0[(a0,a1)]."""
     K = r0.shape[0]
@@ -113,7 +127,7 @@ class TestConstrainedRegret:
             def policy_value(pol):
                 total = 0.0
                 for z, (_, a1) in plays:
-                    total += game.reward(0, (pol[z], a1), z)
+                    total += true_reward(game, 0, (pol[z], a1), z)
                 return total
 
             feasible_sets = [
@@ -165,22 +179,22 @@ def brute_force(game, plays, player):
     policy, gap = {}, 0.0
     for z, ts in rounds.items():
         totals = {
-            a: sum(game.reward(player, swapped(plays[t][1], a), z) for t in ts)
+            a: sum(true_reward(game, player, swapped(plays[t][1], a), z) for t in ts)
             for a in range(K)
-            if np.all(game.constraint_values(player, a, z) <= 0.0)
+            if np.all(true_constraints(game, player, a, z) <= 0.0)
         }
         policy[z] = max(totals, key=totals.get)
-        earned = sum(game.reward(player, plays[t][1], z) for t in ts)
+        earned = sum(true_reward(game, player, plays[t][1], z) for t in ts)
         gap += totals[policy[z]] - earned
     regret, acc = [], 0.0
     for z, joint in plays:
-        acc += game.reward(player, swapped(joint, policy[z]), z)
-        acc -= game.reward(player, joint, z)
+        acc += true_reward(game, player, swapped(joint, policy[z]), z)
+        acc -= true_reward(game, player, joint, z)
         regret.append(acc)
     violations, total = np.zeros((M, T)), np.zeros(M)
     for t, (z, joint) in enumerate(plays):
         total = total + np.maximum(
-            game.constraint_values(player, joint[player], z), 0.0
+            true_constraints(game, player, joint[player], z), 0.0
         )
         violations[:, t] = total
     return policy, np.array(regret), violations, gap / max(T, 1)
@@ -269,7 +283,7 @@ class TestViolations:
         got = compute_report(traj, game).violations[0]
         acc = 0.0
         for t, (z, (a0, _)) in enumerate(plays):
-            g = game.constraint_values(0, a0, z)[0]
+            g = true_constraints(game, 0, a0, z)[0]
             acc += max(g, 0.0)
             assert got[0, t] == pytest.approx(acc, abs=1e-12)
 
