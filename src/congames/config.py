@@ -126,13 +126,14 @@ def parse_kernel(obj, path: str) -> KernelSpec:
 
 @dataclass
 class GeneratorParams:
+    """The random-game generator's parameters and their defaults: each
+    field is a ``game.generate`` config key and a keyword of
+    ``game.generate_random_game``."""
+
     num_players: int = 3
     num_actions: int = 7
     num_contexts: int = 5
     num_constraints: int = 1
-    num_gp_samples: int = 10
-    points_per_sample: int = 10
-    obs_noise: float = 0.1
     noise_scale: float = DEFAULT_NOISE_SCALE
     feasible_quantile: float = 0.25
 
@@ -174,17 +175,13 @@ class ExperimentConfig:
 # shorthands for the action and context counts
 _GENERATOR_COUNTS = {
     "num_players": 2, "num_actions": 2, "num_contexts": 1, "num_constraints": 0,
-    "num_gp_samples": 1, "points_per_sample": 1,
 }
 _SHORTHANDS = {"K": "num_actions", "Z": "num_contexts"}
 
 
 def _parse_generator(obj: dict, path: str) -> GeneratorParams:
-    allowed = {
-        *_GENERATOR_COUNTS, *_SHORTHANDS, "obs_noise", "noise_scale",
-        "feasible_quantile",
-    }
-    _require_keys(obj, allowed, set(), path)
+    _require_keys(obj, {*(f.name for f in fields(GeneratorParams)), *_SHORTHANDS},
+                  set(), path)
     params, keys = GeneratorParams(), {}
     for key, value in obj.items():
         name = _SHORTHANDS.get(key, key)
@@ -197,8 +194,6 @@ def _parse_generator(obj: dict, path: str) -> GeneratorParams:
         else:
             _number(value, f"{path}.{key}")
         setattr(params, name, value)
-    if not params.obs_noise > 0.0:
-        raise ConfigError(f"{path}.obs_noise", "must be positive")
     if not params.noise_scale >= 0.0:
         raise ConfigError(f"{path}.noise_scale", "must be nonnegative")
     if not 0.0 <= params.feasible_quantile <= 1.0:

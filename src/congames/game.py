@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _number, _require_keys, parse_json
+from .config import GeneratorParams, _number, _require_keys, parse_json
 from .gp import FactorizationError
 from .kernels import (
     KernelSpec,
@@ -39,6 +39,10 @@ from .kernels import (
 from .strategy import InfeasibilityDeclared, Player, UniformPlayer
 
 GENERATOR_SCHEME = "gp-posterior-mean-of-sampled-observations-v1"
+# the GP draw behind every generated table, read by _sample_gp_function
+NUM_GP_SAMPLES = 10
+POINTS_PER_SAMPLE = 10
+OBS_NOISE = 0.1
 # the largest table value or noise scale a game may hold: noisy feedback,
 # a value plus a scale times a normal draw, and a learner's sums of it
 # then stay finite
@@ -256,26 +260,23 @@ def one_blas_thread() -> Iterator[bool]:
 
 
 def _sample_gp_function(
-    rng: np.random.Generator,
-    kernel: KernelSpec,
-    grid: np.ndarray,
-    num_samples: int,
-    points_per_sample: int,
-    obs_noise: float,
+    rng: np.random.Generator, kernel: KernelSpec, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Observations and weights of a posterior mean over ``grid``.
 
-    Draws ``num_samples`` independent functions from the GP prior, records
-    each at ``points_per_sample`` uniformly chosen grid points, and returns
-    the pooled inputs ``X`` with the weights ``alpha`` of a single zero-mean
-    GP conditioned on them with noise variance ``obs_noise``: the posterior
-    mean at rows G is ``cross(kernel, G, X) @ alpha``.  The caller evaluates
-    it, so that it can exploit the structure of its own grid.
+    Draws :data:`NUM_GP_SAMPLES` independent functions from the GP prior,
+    records each at :data:`POINTS_PER_SAMPLE` (at most ``len(grid)``)
+    uniformly chosen grid points, and returns the pooled inputs ``X`` with
+    the weights ``alpha`` of a single zero-mean GP conditioned on them with
+    noise variance :data:`OBS_NOISE`: the posterior mean at rows G is
+    ``cross(kernel, G, X) @ alpha``.  The caller evaluates it, so that it
+    can exploit the structure of its own grid.
     """
+    points = min(POINTS_PER_SAMPLE, len(grid))
     obs_x = []
     obs_y = []
-    for _ in range(num_samples):
-        idx = rng.choice(len(grid), size=points_per_sample, replace=False)
+    for _ in range(NUM_GP_SAMPLES):
+        idx = rng.choice(len(grid), size=points, replace=False)
         pts = grid[idx]
         K = gram(kernel, pts) + 1e-9 * np.eye(len(pts))
         L = np.linalg.cholesky(K)
@@ -283,7 +284,7 @@ def _sample_gp_function(
         obs_y.append(L @ rng.standard_normal(len(pts)))
     X = np.concatenate(obs_x)
     y = np.concatenate(obs_y)
-    A = gram(kernel, X) + obs_noise * np.eye(len(X))
+    A = gram(kernel, X) + OBS_NOISE * np.eye(len(X))
     return X, np.linalg.solve(A, y)
 
 
@@ -301,25 +302,17 @@ def default_constraint_kernel() -> KernelSpec:
 
 
 @one_blas_thread()
-def generate_random_game(
-    seed: int,
-    num_players: int = 3,
-    num_actions: int = 7,
-    num_contexts: int = 5,
-    num_constraints: int = 1,
-    num_gp_samples: int = 10,
-    points_per_sample: int = 10,
-    obs_noise: float = 0.1,
-    noise_scale: float = 1.0,
-    feasible_quantile: float = 0.25,
-) -> GameDefinition:
+def generate_random_game(seed: int, **params) -> GameDefinition:
     """Random N-player game with GP-smooth rewards and constraints.
 
-    Rewards live on the joint-action x context grid and are min-max
-    rescaled to [0, 1] per player; constraints are context-free over own
-    actions and shifted by their ``feasible_quantile`` quantile so roughly
-    that fraction of actions is feasible, which in particular guarantees a
-    feasible action per player.
+    ``params`` are the fields of :class:`~congames.config.GeneratorParams`,
+    which holds their defaults.  Rewards live on the joint-action x context
+    grid and are min-max rescaled to [0, 1] per player; constraints are
+    context-free over own actions and each is shifted by its
+    ``feasible_quantile`` quantile, so roughly that fraction of actions
+    meets it.  With one constraint that leaves a feasible action per
+    player; with several, the shifts can leave none, and the least
+    violating action is then shifted to be feasible.
 
     The reward mean over the K^N * Z grid is evaluated per factor of the
     product kernel: the action kernel once on the K^N joint actions, the
@@ -332,6 +325,8 @@ def generate_random_game(
     BLAS runs on one thread throughout (:func:`one_blas_thread`), so the
     tables do not depend on the machine's core count.
     """
+    p = GeneratorParams(**params)
+    num_players, num_actions, num_contexts = p.num_players, p.num_actions, p.num_contexts
     if num_contexts < 1 or num_players < 2:
         raise ValueError("degenerate grid")
     rng = np.random.default_rng(seed)
@@ -352,10 +347,7 @@ def generate_random_game(
 
     rewards = []
     for _ in range(num_players):
-        X, alpha = _sample_gp_function(
-            rng, k_r, grid, num_gp_samples,
-            min(points_per_sample, len(grid)), obs_noise,
-        )
+        X, alpha = _sample_gp_function(rng, k_r, grid)
         # the grid is joint actions x contexts, context fastest, so each
         # entry of cross(k_r, grid, X) is a product of one row of each factor
         on_joint = cross(k_r.left, joint, X[:, :num_players])
@@ -376,13 +368,10 @@ def generate_random_game(
     constraints = []
     for _ in range(num_players):
         rows = []
-        for _ in range(num_constraints):
-            X, alpha = _sample_gp_function(
-                rng, k_g, action_grid, num_gp_samples,
-                min(points_per_sample, num_actions), obs_noise,
-            )
+        for _ in range(p.num_constraints):
+            X, alpha = _sample_gp_function(rng, k_g, action_grid)
             g = cross(k_g, action_grid, X) @ alpha
-            rows.append(g - np.quantile(g, feasible_quantile))
+            rows.append(g - np.quantile(g, p.feasible_quantile))
         table = np.asarray(rows)
         if table.size and not np.any(np.all(table <= 0.0, axis=0)):
             # per-constraint quantile shifts can leave no jointly feasible
@@ -397,15 +386,15 @@ def generate_random_game(
         num_contexts=num_contexts,
         rewards=rewards,
         constraints=constraints,
-        reward_noise=[noise_scale] * num_players,
-        constraint_noise=[[noise_scale] * num_constraints] * num_players,
+        reward_noise=[p.noise_scale] * num_players,
+        constraint_noise=[[p.noise_scale] * p.num_constraints] * num_players,
         metadata={
             "seed": seed,
             "generator_scheme": GENERATOR_SCHEME,
-            "num_gp_samples": num_gp_samples,
-            "points_per_sample": points_per_sample,
-            "obs_noise": obs_noise,
-            "feasible_quantile": feasible_quantile,
+            "num_gp_samples": NUM_GP_SAMPLES,
+            "points_per_sample": POINTS_PER_SAMPLE,
+            "obs_noise": OBS_NOISE,
+            "feasible_quantile": p.feasible_quantile,
             "reward_kernel": kernel_to_config(k_r),
             "constraint_kernel": kernel_to_config(k_g),
         },
@@ -426,7 +415,11 @@ def fixed_schedule(contexts: Sequence[int] | np.ndarray, T: int) -> np.ndarray:
         raise ValueError("fixed context sequence shorter than the horizon")
     head = contexts[:T]
     schedule = np.array(head)
-    if schedule.ndim != 1 or (schedule.size and schedule.dtype.kind not in "iu"):
+    # np.array casts a bool among ints to an int; an array's dtype tells
+    has_bool = not isinstance(head, np.ndarray) and any(
+        isinstance(z, (bool, np.bool_)) for z in head
+    )
+    if has_bool or schedule.ndim != 1 or (schedule.size and schedule.dtype.kind not in "iu"):
         # Python ints beyond int64 make a float or an object array
         if schedule.ndim == 1 and all(
             isinstance(z, int) and not isinstance(z, bool) for z in head

@@ -49,6 +49,11 @@ class Matern:
             raise KernelError("lengthscale and nu must be positive")
         if not (math.isfinite(self.lengthscale) and math.isfinite(self.nu)):
             raise KernelError("lengthscale and nu must be finite")
+        # pairwise's general-nu branch divides by Gamma(nu)
+        try:
+            math.gamma(self.nu)
+        except OverflowError:
+            raise KernelError(f"nu = {self.nu:g} is too large: Gamma(nu) overflows") from None
 
     def pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         s = np.sqrt(_sqdists(X, Y))

@@ -1,5 +1,6 @@
 """CLI harness tests: subcommands, exit codes, and output determinism."""
 
+import hashlib
 import json
 import os
 import tracemalloc
@@ -587,6 +588,22 @@ class TestGenerateGame:
         assert game.num_players == 2
         for i in range(game.num_players):
             assert game.feasible_actions(i).any(axis=1).all()
+
+    @pytest.mark.parametrize("generate, params, digest", [
+        ({}, {}, "238773e60575f856cb122290122667ca85e900b612ac3441cfd86d63fec57a7e"),
+        ({"num_constraints": 2, "K": 4, "Z": 3},
+         {"num_constraints": 2, "num_actions": 4, "num_contexts": 3},
+         "58184a57477edb9903cc379687bf58b39960c04252750d2228b6e02a8400f1d7"),
+    ], ids=["default", "M2-K4-Z3"])
+    def test_game_file_bytes(self, tmp_path, generate, params, digest):
+        # the file is the library's game, metadata included, byte for byte
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"game": {"generate": generate}, "T": 1}))
+        game_path = tmp_path / "game.json"
+        assert main(["generate-game", str(path), "--out", str(game_path)]) == 0
+        text = game_path.read_text()
+        assert text == generate_random_game(0, **params).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_missing_out_dir_is_config_error(self, config_path, tmp_path, capsys):
         out = tmp_path / "missing" / "g.json"

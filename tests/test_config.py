@@ -1,6 +1,5 @@
 """Config parsing tests: defaults, shorthands, and path-addressed errors."""
 
-import inspect
 import json
 import os
 import subprocess
@@ -12,8 +11,7 @@ import pytest
 
 import congames
 from congames.cli import main
-from congames.config import ConfigError, GeneratorParams, parse_config
-from congames.game import generate_random_game
+from congames.config import ConfigError, parse_config
 from congames.kernels import SquaredExponential
 from congames.strategy import CZ_ADA_NORMAL_GP, RANDOM
 
@@ -76,16 +74,6 @@ class TestDefaults:
         config = parse_config(base_config(context_schedule={
             "mode": "fixed_sequence", "contexts": [1] * 11}))
         assert config.schedule.contexts == [1] * 11
-
-    def test_generator_defaults_match_generate_random_game(self):
-        # the CLI passes every field as a keyword, so an omitted generator
-        # key must mean what the library's default means
-        signature = inspect.signature(generate_random_game)
-        defaults = {
-            name: param.default for name, param in signature.parameters.items()
-            if param.default is not inspect.Parameter.empty
-        }
-        assert vars(GeneratorParams()) == defaults
 
     def test_game_from_path(self):
         config = parse_config(
@@ -191,6 +179,10 @@ class TestErrors:
             ("matern-string-nu", "reward_kernel",
              {"type": "matern", "lengthscale": 1.0, "nu": "2.5"},
              "reward_kernel.nu: must be a number"),
+            # the general-nu Matern divides by Gamma(nu), a float overflow
+            ("matern-huge-nu", "constraint_kernel",
+             {"type": "matern", "lengthscale": 1.0, "nu": 200},
+             "constraint_kernel: nu = 200 is too large: Gamma(nu) overflows"),
             ("polynomial-string-bias", "constraint_kernel",
              {"type": "polynomial", "degree": 2, "bias": "1"},
              "constraint_kernel.bias: must be a number"),
@@ -230,8 +222,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("key, value", [
         ("num_players", 1), ("num_players", 2.5), ("num_contexts", True),
-        ("K", "3"), ("num_constraints", -1), ("num_gp_samples", 0),
-        ("points_per_sample", 0), ("obs_noise", 0), ("obs_noise", "0.1"),
+        ("K", "3"), ("num_constraints", -1), ("noise_scale", "0.1"),
         ("noise_scale", -1), ("feasible_quantile", 2),
         ("feasible_quantile", -0.5),
     ])
@@ -239,16 +230,28 @@ class TestErrors:
         with pytest.raises(ConfigError, match=rf"\.game\.generate\.{key}: "):
             parse_config(json.dumps({"game": {"generate": {key: value}}, "T": 5}))
 
+    @pytest.mark.parametrize("key", ["num_gp_samples", "points_per_sample", "obs_noise"])
+    def test_generator_draw_settings_are_not_keys(self, tmp_path, capsys, key):
+        # the generator's GP draw is fixed by constants in congames.game
+        text = json.dumps({"game": {"generate": {key: 1}}, "T": 5})
+        with pytest.raises(ConfigError, match=rf"^\.game\.generate\.{key}: unknown key$"):
+            parse_config(text)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: .game.generate.{key}: unknown key\n")
+
     @pytest.mark.parametrize("text, message", [
         # an int beyond the float range
-        (base_config(game={"generate": {"obs_noise": 10**400}}),
-         r"^\.game\.generate\.obs_noise: must be finite$"),
+        (base_config(game={"generate": {"noise_scale": 10**400}}),
+         r"^\.game\.generate\.noise_scale: must be finite$"),
         # an int of more digits than json converts
         (base_config()[:-1] + ', "seeds": [' + "1" * 4400 + "]}",
          r"^invalid JSON: Exceeds the limit \(4300 digits\)"),
         ("{not json", r"^invalid JSON: Expecting property name"),
         ("[]", r"^top level must be an object$"),
-    ], ids=["huge-obs-noise", "seed-of-4400-digits", "not-json", "top-level-list"])
+    ], ids=["huge-noise-scale", "seed-of-4400-digits", "not-json", "top-level-list"])
     def test_unreadable_document(self, tmp_path, capsys, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)

@@ -410,7 +410,8 @@ class TestRun:
 
     @pytest.mark.parametrize("schedule", [
         [0, 1.5], [True, False], ["1", "0"], np.zeros((2, 2), dtype=np.int64),
-    ], ids=["float", "bool", "str", "2-d"])
+        [True, 1], (1, np.False_),
+    ], ids=["float", "bool", "str", "2-d", "bool-among-ints", "numpy-bool-among-ints"])
     def test_non_integer_schedule_rejected(self, schedule):
         # a float, bool or str context is refused, not rounded or cast
         game = tiny_game()
