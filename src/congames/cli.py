@@ -257,7 +257,8 @@ def run_seed(
                 T=max(trajectory.num_rounds, 1),
                 confidence=player.config.confidence,
                 reward_info_gain=player.reward_gp.running_info_gain,
-                constraint_info_gains=player.constraint_info_gains(),
+                constraint_info_gain=(player.constraint_gps[0].running_info_gain
+                                      if player.constraint_gps else None),
                 expert_magnitudes=player.router.magnitudes(),
             )
             bounds[str(i)] = {

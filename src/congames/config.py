@@ -23,6 +23,10 @@ DEFAULT_RKHS_BOUND = 1.0
 # the most entries numpy can index along one array: a horizon or a reward
 # table beyond it cannot be built on any machine
 MAX_ENTRIES = int(np.iinfo(np.intp).max)
+# the largest table value or noise scale a game, generated or read, may
+# hold: noisy feedback, a value plus a scale times a normal draw, and a
+# learner's sums of it then stay finite
+MAX_MAGNITUDE = 1e150
 
 
 class ConfigError(ValueError):
@@ -194,8 +198,8 @@ def _parse_generator(obj: dict, path: str) -> GeneratorParams:
         else:
             _number(value, f"{path}.{key}")
         setattr(params, name, value)
-    if not params.noise_scale >= 0.0:
-        raise ConfigError(f"{path}.noise_scale", "must be nonnegative")
+    if not 0.0 <= params.noise_scale <= MAX_MAGNITUDE:
+        raise ConfigError(f"{path}.noise_scale", f"must lie in [0, {MAX_MAGNITUDE:g}]")
     if not 0.0 <= params.feasible_quantile <= 1.0:
         raise ConfigError(f"{path}.feasible_quantile", "must lie in [0, 1]")
     # a player's reward table has K**N * Z entries; multiplying up stops

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import GeneratorParams, _number, _require_keys, parse_json
+from .config import MAX_MAGNITUDE, GeneratorParams, _number, _require_keys, parse_json
 from .gp import FactorizationError
 from .kernels import (
     KernelSpec,
@@ -43,10 +43,6 @@ GENERATOR_SCHEME = "gp-posterior-mean-of-sampled-observations-v1"
 NUM_GP_SAMPLES = 10
 POINTS_PER_SAMPLE = 10
 OBS_NOISE = 0.1
-# the largest table value or noise scale a game may hold: noisy feedback,
-# a value plus a scale times a normal draw, and a learner's sums of it
-# then stay finite
-MAX_MAGNITUDE = 1e150
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Incremental Gaussian-process regression with confidence bounds.
+"""Incremental Gaussian-process regression and the confidence-width schedule.
 
 The learners query their models on a finite grid of inputs, so most
 observations repeat an earlier input.  With homoscedastic noise s2, n
@@ -66,12 +66,12 @@ gain a trailing target axis, updated elementwise and queried one column of
 alpha at a time, so each target gets bit for bit a one-target model's values.
 
 The formulas above are evaluated with few numpy calls: the updates do
-their scalar arithmetic on Python floats, and the queries and bounds work
-in place on arrays they computed or gathered themselves, with the same
-ufuncs on the same operands as the plain expressions, so every value is
-bit for bit theirs (``tests/test_exact_rewrites.py`` keeps those
-expressions as oracles).  The bounds overwrite the means that
-:meth:`GpModel.posterior_batch` returned.
+their scalar arithmetic on Python floats, and the queries work in place
+on arrays they computed or gathered themselves, with the same ufuncs on
+the same operands as the plain expressions, so every value is bit for
+bit theirs (``tests/test_exact_rewrites.py`` keeps those expressions as
+oracles).  :meth:`GpModel.posterior_batch` is the one query: it returns
+fresh means and stds, which the learner turns into confidence bounds.
 """
 
 from __future__ import annotations
@@ -374,7 +374,8 @@ class GpModel:
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means ``(n, *outputs)`` and stds ``(n,)`` at the n rows
         of X: in closed form at the training inputs, by one dense query,
-        kept until the next observation, at the others."""
+        kept until the next observation, at the others.  Both arrays are
+        fresh, the caller's to overwrite."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
@@ -407,17 +408,3 @@ class GpModel:
             means[new], var[new] = query.means, query.var
         stds = np.maximum(var, 0.0)
         return means, np.sqrt(stds, out=stds)
-
-    def ucb_batch(self, X, beta_value: float) -> np.ndarray:
-        """means + beta_value * stds per target, in place on the fresh means."""
-        means, stds = self.posterior_batch(X)
-        stds *= beta_value
-        np.add(means.T, stds, out=means.T)
-        return means
-
-    def lcb_batch(self, X, beta_value: float) -> np.ndarray:
-        """means - beta_value * stds per target, in place on the fresh means."""
-        means, stds = self.posterior_batch(X)
-        stds *= beta_value
-        np.subtract(means.T, stds, out=means.T)
-        return means

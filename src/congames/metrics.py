@@ -133,17 +133,20 @@ def theorem_bounds(
     T: int,
     confidence: ConfidenceParams,
     reward_info_gain: float,
-    constraint_info_gains: list[float],
+    constraint_info_gain: float | None,
     expert_magnitudes: list[np.ndarray] | None = None,
 ) -> tuple[float, list[float]]:
     """Explicit high-probability regret and violation bound values.
 
-    ``constraint_info_gains`` holds one gain per constraint, each giving a
-    violation bound; ``confidence`` sets beta for every model, and its
-    delta the martingale term.  ``expert_magnitudes`` holds the
-    realized per-context cumulative magnitude vectors; when omitted the
-    horizon-based cap on the weight-spread term B, 5/2 + 3/2 * log(1+T),
-    is used instead.
+    ``confidence`` sets the theory's beta for both models, without a
+    learner's ``beta_scale`` (at the gate's cell, beta scale 0.15 and
+    T=1000, the regret bound is 53-65 times the most regret 1000 rounds
+    can reach), and its delta the martingale term.  One model, of gain
+    ``constraint_info_gain``, serves all M constraints, so the M violation
+    bounds are equal; None, for no constraint model, gives none.
+    ``expert_magnitudes`` holds the realized per-context cumulative
+    magnitude vectors; when omitted the horizon-based cap on the
+    weight-spread term B, 5/2 + 3/2 * log(1+T), is used instead.
     """
     K = num_actions
     if expert_magnitudes:
@@ -164,7 +167,9 @@ def theorem_bounds(
         return c1 * beta(confidence, info_gain) * math.sqrt(T * info_gain)
 
     regret_bound = expert_term + martingale_term + gp_term(reward_info_gain)
-    return regret_bound, [gp_term(gain) for gain in constraint_info_gains]
+    if constraint_info_gain is None:
+        return regret_bound, []
+    return regret_bound, [gp_term(constraint_info_gain)] * confidence.num_constraints
 
 
 @dataclass

@@ -12,6 +12,10 @@ sample from the renormalized distribution) and keeps what it computed in
 expert state from that same mask and sampling distribution and then the
 GPs from the player's own noisy feedback.
 
+Every confidence bound, a reward UCB or a constraint LCB, is mu +/-
+beta * sigma, formed in place on the means of one ``posterior_batch``
+query, with beta the ``beta_scale`` times the schedule at that model's gain.
+
 The reward GP is queried at the awake actions only: AdaNormalHedge
 weighs an asleep action's reward by its zero sampling mass and masks its
 increment, and a Hedge learner has no asleep action.  So
@@ -216,21 +220,16 @@ class Player:
         # the constraint model's inputs: every own action, one row each
         self._action_grid = np.arange(config.num_actions, dtype=float)[:, None]
 
-    # -- per-function confidence widths ------------------------------------
-
-    def reward_beta(self) -> float:
-        return self.config.beta_scale * beta(
-            self.config.confidence, self.reward_gp.running_info_gain
+    def _bounds(self, model: GpModel, X, sign: int) -> np.ndarray:
+        """means + sign * beta * stds per target at the rows of X, in place
+        on the query's fresh means: sign +1 gives UCBs and -1 LCBs, as
+        a + (-b) is a - b exactly."""
+        means, stds = model.posterior_batch(X)
+        stds *= sign * self.config.beta_scale * beta(
+            self.config.confidence, model.running_info_gain
         )
-
-    def constraint_beta(self) -> float:
-        return self.config.beta_scale * beta(
-            self.config.confidence, self.constraint_gps[0].running_info_gain
-        )
-
-    def constraint_info_gains(self) -> list[float]:
-        """The M constraints' information gains, all the one model's."""
-        return [gp.running_info_gain for gp in self.constraint_gps] * self.config.num_constraints
+        np.add(means.T, stds, out=means.T)
+        return means
 
     # -- round interface ----------------------------------------------------
 
@@ -254,7 +253,7 @@ class Player:
     def feasible_mask(self, z) -> np.ndarray:
         if not self.constraint_gps:
             return np.ones(self.config.num_actions, dtype=bool)
-        lcbs = self.constraint_gps[0].lcb_batch(self._action_grid, self.constraint_beta())
+        lcbs = self._bounds(self.constraint_gps[0], self._action_grid, -1)
         return (lcbs <= 0.0).all(axis=1)
 
     def select_action(self, z) -> int:
@@ -303,7 +302,7 @@ class Player:
         # posterior); no rule reads an asleep entry, which stays 0.0
         candidates = self._reward_inputs(opponents_actions, z, awake)
         ucbs = np.zeros(cfg.num_actions)
-        ucbs[awake] = self.reward_gp.ucb_batch(candidates, self.reward_beta())
+        ucbs[awake] = self._bounds(self.reward_gp, candidates, 1)
         self.clamp_events += int(np.count_nonzero(ucbs < 0.0))
         self.router.update(bucket, mask, ucbs, pbar)
 

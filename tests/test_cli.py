@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import tracemalloc
 
@@ -22,7 +23,7 @@ from congames.cli import (
 )
 from congames.config import PlayerBlock, parse_config
 from congames.game import GameDefinition, generate_random_game
-from congames.gp import FactorizationError, GpModel
+from congames.gp import FactorizationError, GpModel, beta
 from congames.strategy import (
     C_ADA_NORMAL_GP,
     CZ_ADA_NORMAL_GP,
@@ -660,6 +661,37 @@ class TestRunSeedInternals:
         assert "0" in result["bounds"]          # learner
         assert "1" not in result["bounds"]      # random baseline
         assert result["bounds"]["0"]["regret_bound"] > 0
+
+    @pytest.mark.parametrize("algorithm, M", [(CZ_ADA_NORMAL_GP, 2), (GPMW, 1),
+                                              (CZ_ADA_NORMAL_GP, 0)])
+    def test_violation_bounds_share_the_constraint_model(self, monkeypatch, algorithm, M):
+        """One model serves the M constraints, so the M violation bounds
+        are each the GP term at its information gain; a learner with no
+        constraint model has none."""
+        from congames import cli
+
+        learners = []
+
+        def recording(block, game, i, seed):
+            learners.append(build_player(block, game, i, seed))
+            return learners[-1]
+
+        monkeypatch.setattr(cli, "build_player", recording)
+        doc = config_doc(players=[{"algorithm": algorithm, "beta_scale": 0.2},
+                                  {"algorithm": "random"}])
+        doc["game"]["generate"].update(num_constraints=M, feasible_quantile=0.7)
+        result = run_seed(parse_config(json.dumps(doc)), 0)
+        assert result["status"] == "completed"
+        bounds = result["bounds"]["0"]["violation_bounds"]
+        if algorithm == GPMW or not M:
+            assert bounds == []
+            return
+        gain = learners[0].constraint_gps[0].running_info_gain
+        confidence = learners[0].config.confidence
+        c1 = 8.0 / math.log1p(1.0 / confidence.noise_scale**2)
+        gp_term = c1 * beta(confidence, gain) * math.sqrt(result["num_rounds"] * gain)
+        assert gain > 0.0
+        assert bounds == [gp_term, gp_term]
 
     def test_regret_series_lengths(self, config_path):
         config = parse_config(config_path.read_text())

@@ -1,5 +1,6 @@
 """Config parsing tests: defaults, shorthands, and path-addressed errors."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import congames
 from congames.cli import main
 from congames.config import ConfigError, parse_config
+from congames.game import generate_random_game
 from congames.kernels import SquaredExponential
 from congames.strategy import CZ_ADA_NORMAL_GP, RANDOM
 
@@ -279,6 +281,18 @@ class TestErrors:
         path.write_text(text)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", ["run", "generate-game"])
+    def test_generator_noise_scale_beyond_game_bound(self, tmp_path, capsys, command):
+        """A generator noise scale that no game may hold is a config error
+        with exit 1, not a failure in every seed; the bound is the game's."""
+        at_bound = parse_config(base_config(game={"generate": {"noise_scale": 1e150}}))
+        generate_random_game(0, **dataclasses.asdict(at_bound.game.generate)).validate()
+        path = tmp_path / "config.json"
+        path.write_text(base_config(game={"generate": {"noise_scale": 1e151}}))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: .game.generate.noise_scale: must lie in [0, 1e+150]\n")
 
     @pytest.mark.parametrize("overrides, where", [
         ({"seeds": [-1]}, r"\.seeds\[0\]"),

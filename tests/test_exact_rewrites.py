@@ -1,14 +1,15 @@
 """The in-place arithmetic of one learner round against its plain form.
 
-The expert rules, ``renormalize``, the GP's closed-form and dense queries,
-its confidence bounds, its updates and the kernels compute in place on
-arrays each call makes for itself.  Every rewrite keeps the same ufunc on
-the same operands: the ``out=`` form, two operands of one ``+`` or ``*``
-swapped, a sign moved through a division, a method for its ``np.``
-wrapper, Python floats for scalar ``+ - * /``, or a select dropped whose
-branches agree.  So each result must equal, byte for byte, the plain
-expression it replaced.  Those expressions are copied below as oracles
-and compared by ``tobytes()`` over drawn inputs and a few edge cases.
+The expert rules, ``renormalize``, the GP's closed-form and dense queries
+and its updates, the learner's confidence bounds and the kernels compute
+in place on arrays each call makes for itself.  Every rewrite keeps the
+same ufunc on the same operands: the ``out=`` form, two operands of one
+``+`` or ``*`` swapped, a sign moved through a division or a product
+(``a - b * c`` as ``a + b * -c``), a method for its ``np.`` wrapper,
+Python floats for scalar ``+ - * /``, or a select dropped whose branches
+agree.  So each result must equal, byte for byte, the plain expression
+it replaced.  Those expressions are copied below as oracles and compared
+by ``tobytes()`` over drawn inputs and a few edge cases.
 """
 
 import numpy as np
@@ -27,7 +28,15 @@ from congames.experts import (
     hedge_predict,
     hedge_update,
 )
-from congames.gp import BASE_JITTER, MAX_JITTER, FactorizationError, GpModel, _Query
+from congames.gp import (
+    BASE_JITTER,
+    MAX_JITTER,
+    ConfidenceParams,
+    FactorizationError,
+    GpModel,
+    _Query,
+    beta,
+)
 from congames.kernels import (
     KernelError,
     Matern,
@@ -37,7 +46,7 @@ from congames.kernels import (
     cross,
     diag,
 )
-from congames.strategy import renormalize
+from congames.strategy import Player, PlayerConfig, renormalize
 
 K = 7
 EXACT = settings(max_examples=150, deadline=None)
@@ -259,6 +268,21 @@ class OldGpModel(GpModel):
         return (means.T - beta_value * stds).T
 
 
+# the in-place bounds GpModel computed before the learner formed them
+def deleted_ucb_batch(model, X, beta_value):
+    means, stds = model.posterior_batch(X)
+    stds *= beta_value
+    np.add(means.T, stds, out=means.T)
+    return means
+
+
+def deleted_lcb_batch(model, X, beta_value):
+    means, stds = model.posterior_batch(X)
+    stds *= beta_value
+    np.subtract(means.T, stds, out=means.T)
+    return means
+
+
 # -- the expert rules --------------------------------------------------------
 
 def awake_masks():
@@ -385,8 +409,33 @@ def observations(draw):
     return outputs, xs.astype(float) / 2.0, ys
 
 
-def models(kernel, outputs):
-    return GpModel(kernel, 0.09, outputs), OldGpModel(kernel, 0.09, outputs)
+def models(kernel, outputs, beta_scale=1.0):
+    """A learner, the model its bounds come from, and an old model: the
+    reward model for one target, or the constraint model of the M =
+    outputs[0] constraints; the test kernel and noise variance 0.3**2."""
+    M = outputs[0] if outputs else 0
+    confidence = ConfidenceParams(rkhs_bound=1.0, noise_scale=0.3, failure_prob=0.1,
+                                  num_constraints=M)
+    player = Player(PlayerConfig(player_index=0, num_actions=2, reward_kernel=kernel,
+                                 constraint_kernel=kernel, confidence=confidence,
+                                 beta_scale=beta_scale))
+    new = player.constraint_gps[0] if M else player.reward_gp
+    assert new.outputs == outputs
+    return player, new, OldGpModel(kernel, new.noise_variance, outputs)
+
+
+def same_bounds(player, new, old, rows):
+    """The learner's UCBs and LCBs from ``new`` equal the plain bounds of
+    ``old`` and the deleted in-place ones of ``new``, at the scaled
+    width that the old model's information gain gives."""
+    cfg = player.config
+    beta_value = cfg.beta_scale * beta(cfg.confidence, old.running_info_gain)
+    ucbs = player._bounds(new, rows, 1)
+    same(ucbs, old.ucb_batch(rows, beta_value))
+    same(ucbs, deleted_ucb_batch(new, rows, beta_value))
+    lcbs = player._bounds(new, rows, -1)
+    same(lcbs, old.lcb_batch(rows, beta_value))
+    same(lcbs, deleted_lcb_batch(new, rows, beta_value))
 
 
 def same_state(new, old):
@@ -402,9 +451,9 @@ def same_state(new, old):
 
 @EXACT
 @given(GP_KERNELS, observations(), st.floats(0.0, 5.0), st.data())
-def test_gp_updates_queries_and_bounds(kernel, obs, beta_value, data):
+def test_gp_updates_queries_and_bounds(kernel, obs, beta_scale, data):
     outputs, xs, ys = obs
-    new, old = models(kernel, outputs)
+    player, new, old = models(kernel, outputs, beta_scale)
     for x, y in zip(xs, ys):
         if data.draw(st.booleans()):
             # a query between observations keeps its dense products for the update
@@ -421,25 +470,25 @@ def test_gp_updates_queries_and_bounds(kernel, obs, beta_value, data):
     # training inputs only, unseen inputs only, and a mix of the two
     unseen = xs[:3] + 0.25
     for rows in (xs, unseen, np.concatenate([xs[:4], unseen])):
-        same(new.ucb_batch(rows, beta_value), old.ucb_batch(rows, beta_value))
-        same(new.lcb_batch(rows, beta_value), old.lcb_batch(rows, beta_value))
+        same_bounds(player, new, old, rows)
 
 
 def test_bounds_before_any_observation():
-    new, old = models(SquaredExponential(1.0), (2,))
-    rows = np.arange(6.0).reshape(3, 2)
-    same(new.ucb_batch(rows, 1.5), old.ucb_batch(rows, 1.5))
-    same(new.lcb_batch(rows, 1.5), old.lcb_batch(rows, 1.5))
+    # at scale 0 an LCB adds -0.0 where the plain form subtracts 0.0
+    for outputs in [(), (1,), (3,)]:
+        for beta_scale in (0.0, 1.5):
+            player, new, old = models(SquaredExponential(1.0), outputs, beta_scale)
+            same_bounds(player, new, old, np.arange(6.0).reshape(3, 2))
 
 
 def test_zero_column_and_zero_row_queries():
     """Rows with no columns all get the empty key, so the query reaches the
     kernel's dimension check, as it did with one tobytes() per row; no
     rows give empty results."""
-    new, old = models(SquaredExponential(1.0), (2,))
+    player, new, old = models(SquaredExponential(1.0), (2,), 1.5)
     for model in (new, old):
         model.add_observation([1.0], [0.5, 1.0])
     with pytest.raises(KernelError, match="dimension mismatch: 1 vs 0"):
         new.posterior_batch(np.zeros((3, 0)))
     for rows in (np.zeros((0, 1)), np.zeros((0, 0))):
-        same(new.ucb_batch(rows, 1.5), old.ucb_batch(rows, 1.5))
+        same_bounds(player, new, old, rows)

@@ -18,6 +18,7 @@ from congames.kernels import (
     evaluate,
     gram,
 )
+from congames.strategy import Player, PlayerConfig
 
 ORACLE_KERNELS = [
     SquaredExponential(lengthscale=1.0),
@@ -362,19 +363,25 @@ class TestBeta:
 
 class TestConfidenceBounds:
     def test_ucb_lcb_symmetric_around_mean(self):
+        # a learner's bounds on its reward model, at beta_scale times beta
         rng = np.random.default_rng(13)
-        model = GpModel(SquaredExponential(lengthscale=1.0), 1.0)
+        confidence = ConfidenceParams(rkhs_bound=1.0, noise_scale=1.0, failure_prob=0.1)
+        player = Player(PlayerConfig(
+            player_index=0, num_actions=2, reward_kernel=SquaredExponential(lengthscale=1.0),
+            confidence=confidence, beta_scale=0.5,
+        ))
+        model = player.reward_gp
         for _ in range(5):
             model.add_observation(rng.normal(size=1), rng.normal())
-        b = 2.0
+        b = 0.5 * beta(confidence, model.running_info_gain)
         X = np.vstack([[0.2], rng.normal(size=(4, 1))])
         means, stds = model.posterior_batch(X)
-        np.testing.assert_allclose(model.ucb_batch(X, b), means + b * stds)
-        np.testing.assert_allclose(model.lcb_batch(X, b), means - b * stds)
+        np.testing.assert_allclose(player._bounds(model, X, 1), means + b * stds)
+        np.testing.assert_allclose(player._bounds(model, X, -1), means - b * stds)
         # a batch row agrees with a one-row query
         (mean,), (std,) = model.posterior_batch(X[:1])
-        assert model.ucb_batch(X, b)[0] == pytest.approx(mean + b * std)
-        assert model.lcb_batch(X, b)[0] == pytest.approx(mean - b * std)
+        assert player._bounds(model, X, 1)[0] == pytest.approx(mean + b * std)
+        assert player._bounds(model, X, -1)[0] == pytest.approx(mean - b * std)
 
 
 def one_solve_oracle(kernel, noise_variance, X, y, queries):
@@ -581,6 +588,13 @@ class TestTargetColumns:
     same stds and the same information gain, through new inputs,
     repeats, queries kept for the next update, folds and doublings."""
 
+    # bounds are the learner's: beta_scale times beta at the model's gain
+    LEARNER = Player(PlayerConfig(
+        player_index=0, num_actions=2, reward_kernel=SquaredExponential(lengthscale=1.0),
+        confidence=ConfidenceParams(rkhs_bound=1.0, noise_scale=1.0, failure_prob=0.1),
+        beta_scale=0.5,
+    ))
+
     def play(self, kernel, noise, M, grid, seed, num_obs=120):
         """Feed one M-target model and M one-target models the same
         observations, querying all of them between some; returns the
@@ -595,12 +609,13 @@ class TestTargetColumns:
                 batch = np.vstack([rows, rows[:1] + 0.25])
                 means, stds = shared.posterior_batch(batch)
                 assert means.shape == (len(batch), M) and stds.shape == (len(batch),)
-                lcbs = shared.lcb_batch(batch, 1.7)
+                lcbs = self.LEARNER._bounds(shared, batch, -1)
                 for m, single in enumerate(singles):
                     m_means, m_stds = single.posterior_batch(batch)
                     np.testing.assert_array_equal(means[:, m], m_means)
                     np.testing.assert_array_equal(stds, m_stds)
-                    np.testing.assert_array_equal(lcbs[:, m], single.lcb_batch(batch, 1.7))
+                    np.testing.assert_array_equal(lcbs[:, m],
+                                                  self.LEARNER._bounds(single, batch, -1))
             # favour inputs seen before, so that repeats are common; the
             # input is sometimes the off-grid row just queried
             x = grid[rng.integers(min(len(grid), 3 + t // 2))]

@@ -352,7 +352,7 @@ class TestTheoremBounds:
             T=T,
             confidence=p,
             reward_info_gain=gamma,
-            constraint_info_gains=[gamma],
+            constraint_info_gain=gamma,
         )
         # independent recomputation, spelled out term by term
         B_pot = 2.5 + 1.5 * math.log1p(T)
@@ -373,9 +373,9 @@ class TestTheoremBounds:
         # read the wrong one, or a default, would not match
         K, Z, T = 7, 5, 100
         B, sigma, delta, M = 2.0, 0.5, 0.05, 2
-        reward_gain, gains = 6.0, [3.0, 4.5]
+        reward_gain, gain = 6.0, 4.5
         regret_bound, violation_bounds = theorem_bounds(
-            K, Z, T, self.params(B, sigma, delta, M), reward_gain, gains
+            K, Z, T, self.params(B, sigma, delta, M), reward_gain, gain
         )
         B_pot = 2.5 + 1.5 * math.log1p(T)
         expert = math.sqrt(
@@ -393,27 +393,31 @@ class TestTheoremBounds:
         assert regret_bound == pytest.approx(
             expert + martingale + gp_term(reward_gain), abs=1e-9
         )
-        assert violation_bounds == pytest.approx([gp_term(g) for g in gains], abs=1e-9)
+        # one model serves the M constraints: M equal bounds, none without it
+        assert violation_bounds == pytest.approx([gp_term(gain)] * M, abs=1e-9)
+        assert theorem_bounds(
+            K, Z, T, self.params(B, sigma, delta, M), reward_gain, None
+        ) == (regret_bound, [])
 
     def test_single_context_drops_z_factor(self):
         p = self.params()
-        multi, _ = theorem_bounds(7, 5, 100, p, 5.0, [5.0])
-        single, _ = theorem_bounds(7, 1, 100, p, 5.0, [5.0])
+        multi, _ = theorem_bounds(7, 5, 100, p, 5.0, 5.0)
+        single, _ = theorem_bounds(7, 1, 100, p, 5.0, 5.0)
         assert single < multi
 
     def test_monotone_in_horizon(self):
         p = self.params()
-        b1, _ = theorem_bounds(7, 5, 100, p, 5.0, [5.0])
-        b2, _ = theorem_bounds(7, 5, 200, p, 5.0, [5.0])
+        b1, _ = theorem_bounds(7, 5, 100, p, 5.0, 5.0)
+        b2, _ = theorem_bounds(7, 5, 200, p, 5.0, 5.0)
         assert b2 > b1
 
     def test_realized_magnitudes_tighten_potential(self):
         p = self.params()
         small = [np.array([0.5, 0.5, 0.5])]
         tight, _ = theorem_bounds(
-            7, 5, 1000, p, 5.0, [5.0], expert_magnitudes=small
+            7, 5, 1000, p, 5.0, 5.0, expert_magnitudes=small
         )
-        loose, _ = theorem_bounds(7, 5, 1000, p, 5.0, [5.0])
+        loose, _ = theorem_bounds(7, 5, 1000, p, 5.0, 5.0)
         assert tight < loose
 
 
