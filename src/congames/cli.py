@@ -36,10 +36,10 @@ from .config import (
     ExperimentConfig,
     PlayerBlock,
     check_game_shape,
+    learner_config,
     parse_config,
 )
-from .gp import ConfidenceParams
-from .strategy import RANDOM, USES_CONTEXT, Player, PlayerConfig, UniformPlayer
+from .strategy import RANDOM, Player, UniformPlayer
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -179,32 +179,8 @@ def build_player(
     a learner, or the random baseline for ``algorithm: random``."""
     if block.algorithm == RANDOM:
         return UniformPlayer(game.num_actions, seed)
-    reward_kernel = block.reward_kernel
-    if reward_kernel is None:
-        reward_kernel = game_mod.default_reward_kernel(game.num_players)
-        if not USES_CONTEXT[block.algorithm]:
-            # non-contextual learners model rewards over joint actions only
-            reward_kernel = reward_kernel.left
-    return Player(
-        PlayerConfig(
-            player_index=player_index,
-            num_actions=game.num_actions,
-            algorithm=block.algorithm,
-            reward_kernel=reward_kernel,
-            constraint_kernel=(
-                block.constraint_kernel or game_mod.default_constraint_kernel()
-            ),
-            confidence=ConfidenceParams(
-                rkhs_bound=block.rkhs_bound,
-                noise_scale=block.noise_scale,
-                failure_prob=block.delta,
-                num_constraints=game.num_constraints,
-            ),
-            num_contexts=game.num_contexts,
-            beta_scale=block.beta_scale,
-            seed=seed,
-        )
-    )
+    return Player(learner_config(block, player_index, game.num_players, game.num_actions,
+                                 game.num_contexts, game.num_constraints, seed))
 
 
 def _load_game(config: ExperimentConfig, seed: int) -> game_mod.GameDefinition:
@@ -418,7 +394,8 @@ def _check_game_file(config: ExperimentConfig) -> game_mod.GameDefinition:
         game = game_mod.GameDefinition.from_json(Path(path).read_text())
     except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(".game.path", f"{path}: {exc}") from exc
-    check_game_shape(config, game.num_players, game.num_actions, game.num_contexts)
+    check_game_shape(config, game.num_players, game.num_actions, game.num_contexts,
+                     game.num_constraints)
     return game
 
 

@@ -14,8 +14,9 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .gp import ConfidenceParams
 from .kernels import KERNEL_TYPES, KernelError, KernelSpec, diag
-from .strategy import ALGORITHMS, RANDOM, USES_CONSTRAINTS, USES_CONTEXT
+from .strategy import ALGORITHMS, RANDOM, PlayerConfig
 
 DEFAULT_DELTA = 0.1
 DEFAULT_NOISE_SCALE = 1.0
@@ -155,7 +156,7 @@ class PlayerBlock:
     rkhs_bound: float = DEFAULT_RKHS_BOUND
     noise_scale: float = DEFAULT_NOISE_SCALE
     beta_scale: float = 1.0
-    reward_kernel: KernelSpec | None = None       # None: generator defaults
+    reward_kernel: KernelSpec | None = None       # None: the generator's
     constraint_kernel: KernelSpec | None = None
 
 
@@ -324,7 +325,8 @@ def parse_config(text: str) -> ExperimentConfig:
     )
     if game.generate is not None:
         params = game.generate
-        check_game_shape(config, params.num_players, params.num_actions, params.num_contexts)
+        check_game_shape(config, params.num_players, params.num_actions,
+                         params.num_contexts, params.num_constraints)
     if schedule.mode == "fixed_sequence" and len(schedule.contexts) < T:
         raise ConfigError(
             ".context_schedule.contexts",
@@ -333,36 +335,42 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
-def check_game_shape(config: ExperimentConfig, num_players: int,
-                     num_actions: int, num_contexts: int) -> None:
-    """Check the player blocks and the fixed context sequence against the
-    game's player count N, action count K and context count Z.
+def learner_config(block: PlayerBlock, player_index: int, num_players: int,
+                   num_actions: int, num_contexts: int, num_constraints: int,
+                   seed: int = 0) -> PlayerConfig:
+    """The learner a player block configures in a game of N players, K
+    actions, Z contexts and M constraints."""
+    confidence = ConfidenceParams(
+        rkhs_bound=block.rkhs_bound, noise_scale=block.noise_scale,
+        failure_prob=block.delta, num_constraints=num_constraints,
+    )
+    return PlayerConfig(
+        player_index=player_index, num_players=num_players, num_actions=num_actions,
+        confidence=confidence, algorithm=block.algorithm,
+        reward_kernel=block.reward_kernel, constraint_kernel=block.constraint_kernel,
+        num_contexts=num_contexts, beta_scale=block.beta_scale, seed=seed,
+    )
 
-    A learner's kernels must fit its inputs, a joint action (then z, for
-    a contextual learner) for the reward and an own action for the
-    constraints, and be finite on them.  An action coordinate lies in
-    [0, K - 1] and a context in [0, Z - 1], and on that box each kernel
-    is largest at the far corner (a polynomial one too, as its bias and
-    the inputs are nonnegative), so its value there is the one checked."""
+
+def check_game_shape(config: ExperimentConfig, num_players: int, num_actions: int,
+                     num_contexts: int, num_constraints: int) -> None:
+    """Check the player blocks and the fixed context sequence against the
+    game's player count N, action count K, context count Z and constraint
+    count M: each learner's kernels must fit its models' inputs and be
+    finite on them, which its value at :meth:`PlayerConfig.far_corners`,
+    the largest on the game's box, shows."""
     if len(config.players) != num_players:
         raise ConfigError(".players", "player count must match the game")
     for i, block in enumerate(config.players):
         if block.algorithm == RANDOM:
             continue
-        reward_corner = [num_actions - 1.0] * num_players
-        if USES_CONTEXT[block.algorithm]:
-            reward_corner.append(num_contexts - 1.0)
-        corners = {"reward_kernel": reward_corner}
-        if USES_CONSTRAINTS[block.algorithm]:
-            corners["constraint_kernel"] = [num_actions - 1.0]
-        for key, corner in corners.items():
-            kernel = getattr(block, key)
-            if kernel is None:
-                continue
+        learner = learner_config(block, i, num_players, num_actions, num_contexts,
+                                 num_constraints)
+        for key, corner in learner.far_corners().items():
             path = f".players[{i}].{key}"
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    value = diag(kernel, [corner])[0]
+                    value = diag(getattr(learner, key), [corner])[0]
             except KernelError as exc:
                 raise ConfigError(path, f"{exc} of a {len(corner)}-coordinate input") from exc
             if not math.isfinite(value):

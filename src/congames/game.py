@@ -28,15 +28,14 @@ import numpy as np
 
 from .config import MAX_MAGNITUDE, GeneratorParams, _number, _require_keys, parse_json
 from .gp import FactorizationError
-from .kernels import (
-    KernelSpec,
-    Product,
-    SquaredExponential,
-    cross,
-    gram,
-    kernel_to_config,
+from .kernels import KernelSpec, cross, gram, kernel_to_config
+from .strategy import (
+    InfeasibilityDeclared,
+    Player,
+    UniformPlayer,
+    default_constraint_kernel,
+    default_reward_kernel,
 )
-from .strategy import InfeasibilityDeclared, Player, UniformPlayer
 
 GENERATOR_SCHEME = "gp-posterior-mean-of-sampled-observations-v1"
 # the GP draw behind every generated table, read by _sample_gp_function
@@ -282,19 +281,6 @@ def _sample_gp_function(
     y = np.concatenate(obs_y)
     A = gram(kernel, X) + OBS_NOISE * np.eye(len(X))
     return X, np.linalg.solve(A, y)
-
-
-def default_reward_kernel(num_players: int) -> KernelSpec:
-    """Product of an action kernel (lengthscale 2) and a context kernel (0.5)."""
-    return Product(
-        left=SquaredExponential(lengthscale=2.0),
-        right=SquaredExponential(lengthscale=0.5),
-        split_index=num_players,
-    )
-
-
-def default_constraint_kernel() -> KernelSpec:
-    return SquaredExponential(lengthscale=0.5)
 
 
 @one_blas_thread()

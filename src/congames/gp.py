@@ -392,19 +392,15 @@ class GpModel:
         rows = [get(key, -1) for key in keys]
         if -1 not in rows:
             means, var = self._closed(np.array(rows, dtype=np.intp))
-        elif max(rows) < 0:
-            # no row is a training input: X is the dense query as it stands
-            query = self._dense(X, dict(zip(keys, range(len(keys)))))
-            self._query = query
-            # a copy: the kept means give the update its residual
-            means, var = query.means.copy(), query.var
         else:
+            # fresh arrays: the kept query's means give the update its residual
             new = [i for i, j in enumerate(rows) if j < 0]
             query = self._dense(X[new], {keys[i]: c for c, i in enumerate(new)})
             self._query = query
             seen = [i for i, j in enumerate(rows) if j >= 0]
             means, var = np.empty((len(rows), *self.outputs)), np.empty(len(rows))
-            means[seen], var[seen] = self._closed(np.array([rows[i] for i in seen]))
+            if seen:
+                means[seen], var[seen] = self._closed(np.array([rows[i] for i in seen]))
             means[new], var[new] = query.means, query.var
         stds = np.maximum(var, 0.0)
         return means, np.sqrt(stds, out=stds)

@@ -120,11 +120,21 @@ def cce_epsilon(
     return report.cce_eps, report.cce_terms
 
 
+def _log_term(K: int, B: float) -> float:
+    """ln K + ln B + ln(1 + ln K), AdaNormalHedge's regret factor."""
+    return math.log(K) + math.log(B) + math.log(1.0 + math.log(K))
+
+
+def _weight_spread(K: int, C: np.ndarray) -> float:
+    """AdaNormalHedge's B = 1 + 3/(2K) * sum_a (1 + ln(1 + C_a)) at the
+    magnitudes C of the K experts."""
+    return 1.0 + 1.5 / K * float(np.sum(1.0 + np.log1p(C)))
+
+
 def adanormal_regret_bound(C_a: float, all_C: np.ndarray) -> float:
     """Per-expert sleeping regret bound sqrt(3*C_a*(ln K + ln B + ln(1+ln K)))."""
     K = len(all_C)
-    B = 1.0 + 1.5 / K * float(np.sum(1.0 + np.log1p(all_C)))
-    return math.sqrt(3.0 * C_a * (math.log(K) + math.log(B) + math.log(1.0 + math.log(K))))
+    return math.sqrt(3.0 * C_a * _log_term(K, _weight_spread(K, all_C)))
 
 
 def theorem_bounds(
@@ -150,16 +160,10 @@ def theorem_bounds(
     """
     K = num_actions
     if expert_magnitudes:
-        B = max(
-            1.0 + 1.5 / K * float(np.sum(1.0 + np.log1p(np.maximum(C, 0.0))))
-            for C in expert_magnitudes
-        )
+        B = max(_weight_spread(K, C) for C in expert_magnitudes)
     else:
         B = 2.5 + 1.5 * math.log1p(T)
-    expert_term = math.sqrt(
-        3.0 * num_contexts * T
-        * (math.log(K) + math.log(B) + math.log(1.0 + math.log(K)))
-    )
+    expert_term = math.sqrt(3.0 * num_contexts * T * _log_term(K, B))
     martingale_term = math.sqrt(T / 2.0 * math.log(2.0 / confidence.failure_prob))
     c1 = 8.0 / math.log1p(1.0 / confidence.noise_scale**2)
 

@@ -22,22 +22,23 @@ increment, and a Hedge learner has no asleep action.  So
 ``Player.clamp_events`` counts the negative (clamped) reward UCBs of
 awake actions, the only ones an update reads.
 
-Only this module reads what an algorithm means: the multiplicative-
-weights learners build no constraint model, non-contextual variants
-collapse the router to a single bucket, and the expert rule follows the
-filter.  The random baseline plays uniform and learns nothing: a
-:class:`UniformPlayer` is a seeded column of actions.
+Only this module knows what a learner models: its inputs, its default
+kernels, whether it builds a constraint model and filters (the
+multiplicative-weights learners do not), and whether it reads z (the
+non-contextual ones collapse the router to a single bucket).  The random
+baseline plays uniform and learns nothing: a :class:`UniformPlayer` is a
+seeded column of actions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import experts
 from .gp import ConfidenceParams, GpModel, beta
-from .kernels import KernelSpec
+from .kernels import KernelSpec, Product, SquaredExponential
 
 CZ_ADA_NORMAL_GP = "cz_ada_normal_gp"
 C_ADA_NORMAL_GP = "c_ada_normal_gp"
@@ -79,21 +80,40 @@ def renormalize(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return restricted
 
 
+def default_reward_kernel(num_players: int) -> KernelSpec:
+    """Product of an action kernel (lengthscale 2) over the joint action
+    and a context kernel (0.5) over z."""
+    return Product(
+        left=SquaredExponential(lengthscale=2.0),
+        right=SquaredExponential(lengthscale=0.5),
+        split_index=num_players,
+    )
+
+
+def default_constraint_kernel() -> KernelSpec:
+    return SquaredExponential(lengthscale=0.5)
+
+
 @dataclass
 class PlayerConfig:
     """One value per setting: ``confidence`` (B, sigma, delta and the
     game's M) serves the reward model and the M-target constraint model,
-    whose kernel is ``constraint_kernel``; sigma^2 is their noise."""
+    whose kernel is ``constraint_kernel``; sigma^2 is their noise.  A
+    kernel left None is the generator's for the game's N players (the
+    reward kernel's left factor for a learner that ignores context)."""
 
     player_index: int
+    num_players: int
     num_actions: int
+    confidence: ConfidenceParams
     algorithm: str = CZ_ADA_NORMAL_GP
     reward_kernel: KernelSpec | None = None
     constraint_kernel: KernelSpec | None = None
-    confidence: ConfidenceParams | None = None
     num_contexts: int = 1
     beta_scale: float = 1.0
     seed: int = 0
+    # the constraint model's inputs: every own action, one row each
+    action_grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_actions < 2:
@@ -102,13 +122,12 @@ class PlayerConfig:
             raise ValueError("num_contexts must be at least 1")
         if self.algorithm not in USES_CONTEXT:
             raise ValueError(f"{self.algorithm!r} is not a learning algorithm")
-        if self.reward_kernel is None or self.confidence is None:
-            raise ValueError(
-                f"{self.algorithm} requires a reward kernel and confidence"
-            )
-        if self.uses_constraints and self.num_constraints:
-            if self.constraint_kernel is None:
-                raise ValueError(f"{self.algorithm} requires a constraint kernel")
+        if self.reward_kernel is None:
+            kernel = default_reward_kernel(self.num_players)
+            self.reward_kernel = kernel if self.uses_context else kernel.left
+        if self.constraint_kernel is None:
+            self.constraint_kernel = default_constraint_kernel()
+        self.action_grid = np.arange(self.num_actions, dtype=float)[:, None]
 
     @property
     def num_constraints(self) -> int:
@@ -122,6 +141,31 @@ class PlayerConfig:
     @property
     def uses_constraints(self) -> bool:
         return USES_CONSTRAINTS[self.algorithm]
+
+    def reward_inputs(self, opponents, z, own) -> np.ndarray:
+        """Reward-model inputs, one row per own action in ``own``: the
+        joint action with that action in slot i, then z for a contextual
+        learner."""
+        i, n = self.player_index, self.num_players
+        rows = np.empty((len(own), n + self.uses_context))
+        rows[:, :i] = opponents[:i]
+        rows[:, i] = own
+        rows[:, i + 1:n] = opponents[i:]
+        if self.uses_context:
+            rows[:, n] = z
+        return rows
+
+    def far_corners(self) -> dict[str, list[float]]:
+        """Each model's input at every action K - 1 and context Z - 1, by
+        kernel field: on the game's box each kernel is largest there (a
+        polynomial one too, as its bias and the inputs are nonnegative)."""
+        last = self.num_actions - 1
+        reward = self.reward_inputs((last,) * (self.num_players - 1),
+                                    self.num_contexts - 1, [last])
+        corners = {"reward_kernel": reward[0].tolist()}
+        if self.uses_constraints and self.num_constraints:
+            corners["constraint_kernel"] = self.action_grid[last].tolist()
+        return corners
 
 
 class UniformPlayer:
@@ -217,8 +261,6 @@ class Player:
             config.num_contexts, config.num_actions, config.uses_constraints,
             config.uses_context,
         )
-        # the constraint model's inputs: every own action, one row each
-        self._action_grid = np.arange(config.num_actions, dtype=float)[:, None]
 
     def _bounds(self, model: GpModel, X, sign: int) -> np.ndarray:
         """means + sign * beta * stds per target at the rows of X, in place
@@ -233,27 +275,10 @@ class Player:
 
     # -- round interface ----------------------------------------------------
 
-    def _constraint_input(self, action: int, z) -> np.ndarray:
-        return np.array([float(action)], dtype=float)
-
-    def _reward_inputs(self, opponents, z, own) -> np.ndarray:
-        """Reward-GP inputs, one row per own action in ``own``: the joint
-        action with that action in slot i, then z for a contextual learner."""
-        cfg = self.config
-        i = cfg.player_index
-        n = len(opponents) + 1
-        rows = np.empty((len(own), n + cfg.uses_context))
-        rows[:, :i] = opponents[:i]
-        rows[:, i] = own
-        rows[:, i + 1:n] = opponents[i:]
-        if cfg.uses_context:
-            rows[:, n] = z
-        return rows
-
     def feasible_mask(self, z) -> np.ndarray:
         if not self.constraint_gps:
             return np.ones(self.config.num_actions, dtype=bool)
-        lcbs = self._bounds(self.constraint_gps[0], self._action_grid, -1)
+        lcbs = self._bounds(self.constraint_gps[0], self.config.action_grid, -1)
         return (lcbs <= 0.0).all(axis=1)
 
     def select_action(self, z) -> int:
@@ -291,6 +316,8 @@ class Player:
         noisy_constraints = np.asarray(noisy_constraints, dtype=float)
         if cfg.uses_constraints and len(noisy_constraints) != cfg.num_constraints:
             raise ValueError("constraint feedback length mismatch")
+        if len(opponents_actions) != cfg.num_players - 1:
+            raise ValueError("opponents' actions length mismatch")
         z, bucket, mask, pbar = self.round
         self.round = None
         awake = mask.nonzero()[0]
@@ -300,7 +327,7 @@ class Player:
 
         # optimistic reward estimates at the awake actions (pre-update
         # posterior); no rule reads an asleep entry, which stays 0.0
-        candidates = self._reward_inputs(opponents_actions, z, awake)
+        candidates = cfg.reward_inputs(opponents_actions, z, awake)
         ucbs = np.zeros(cfg.num_actions)
         ucbs[awake] = self._bounds(self.reward_gp, candidates, 1)
         self.clamp_events += int(np.count_nonzero(ucbs < 0.0))
@@ -310,4 +337,4 @@ class Player:
         # used the pre-round posterior
         self.reward_gp.add_observation(candidates[row], noisy_reward)
         for gp in self.constraint_gps:
-            gp.add_observation(self._constraint_input(own_action, z), noisy_constraints)
+            gp.add_observation(cfg.action_grid[own_action], noisy_constraints)

@@ -317,10 +317,15 @@ class TestErrors:
                                                "noise_scale": value}, {}]))
 
     @pytest.mark.parametrize("algorithm, key, split, dim", [
-        # a contextual reward input is (a0, a1, z), a non-contextual one (a0, a1)
+        # a contextual reward input is (a0, a1, z), a non-contextual one
+        # (a0, a1), a constraint input (a1); a split at dim leaves the
+        # right block empty
         ("cz_ada_normal_gp", "reward_kernel", 3, 3),
-        ("gpmw", "reward_kernel", 2, 2),
+        ("cz_ada_normal_gp", "constraint_kernel", 1, 1),
+        ("c_ada_normal_gp", "reward_kernel", 2, 2),
         ("c_ada_normal_gp", "constraint_kernel", 1, 1),
+        ("z_gpmw", "reward_kernel", 3, 3),
+        ("gpmw", "reward_kernel", 2, 2),
     ])
     def test_kernel_must_fit_the_inputs(self, algorithm, key, split, dim):
         se = {"type": "squared_exponential", "lengthscale": 1.0}
@@ -328,6 +333,23 @@ class TestErrors:
         with pytest.raises(ConfigError, match=rf"\.players\[1\]\.{key}: .* of a "
                                               rf"{dim}-coordinate input"):
             parse_config(base_config(players=[{}, {"algorithm": algorithm, key: kernel}]))
+
+    @pytest.mark.parametrize("algorithm, dim", [
+        ("cz_ada_normal_gp", 3), ("c_ada_normal_gp", 2), ("z_gpmw", 3), ("gpmw", 2),
+    ])
+    def test_fitting_split_runs(self, tmp_path, algorithm, dim):
+        # every split that leaves both blocks non-empty; no split fits the
+        # one-coordinate constraint input, so only the reward model has one
+        se = {"type": "squared_exponential", "lengthscale": 1.0}
+        for split in range(1, dim):
+            kernel = {"type": "product", "left": se, "right": se, "split_index": split}
+            path = tmp_path / f"config{split}.json"
+            path.write_text(base_config(T=5, players=[
+                {}, {"algorithm": algorithm, "reward_kernel": kernel}]))
+            out = tmp_path / f"out{split}"
+            assert main(["run", str(path), "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["statuses"] == {"0": "completed"}
 
     def test_kernel_must_be_finite_on_the_inputs(self):
         # (1e100 + a0 a1 + ... )^4 overflows at every input
@@ -348,10 +370,15 @@ class TestErrors:
         assert config.players[1].reward_kernel.split_index == 2
 
     def test_unused_constraint_kernel_is_not_checked(self):
+        # the multiplicative-weights learners build no constraint model,
+        # and no learner builds one in a game without constraints
         se = {"type": "squared_exponential", "lengthscale": 1.0}
         kernel = {"type": "product", "left": se, "right": se, "split_index": 5}
-        parse_config(base_config(players=[{"algorithm": "z_gpmw",
-                                           "constraint_kernel": kernel}, {}]))
+        for algorithm, M in [("z_gpmw", 1), ("gpmw", 1), ("c_ada_normal_gp", 0),
+                             ("cz_ada_normal_gp", 0)]:
+            parse_config(base_config(
+                game={"generate": {"num_players": 2, "K": 3, "Z": 2, "num_constraints": M}},
+                players=[{"algorithm": algorithm, "constraint_kernel": kernel}, {}]))
 
     def test_expert_rule_is_not_a_key(self):
         # the algorithm fixes the expert rule

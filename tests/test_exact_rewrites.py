@@ -416,8 +416,9 @@ def models(kernel, outputs, beta_scale=1.0):
     M = outputs[0] if outputs else 0
     confidence = ConfidenceParams(rkhs_bound=1.0, noise_scale=0.3, failure_prob=0.1,
                                   num_constraints=M)
-    player = Player(PlayerConfig(player_index=0, num_actions=2, reward_kernel=kernel,
-                                 constraint_kernel=kernel, confidence=confidence,
+    player = Player(PlayerConfig(player_index=0, num_players=2, num_actions=2,
+                                 reward_kernel=kernel, constraint_kernel=kernel,
+                                 confidence=confidence,
                                  beta_scale=beta_scale))
     new = player.constraint_gps[0] if M else player.reward_gp
     assert new.outputs == outputs

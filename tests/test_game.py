@@ -468,6 +468,7 @@ class TestRun:
         learner = Player(
             PlayerConfig(
                 player_index=0,
+                num_players=2,
                 num_actions=2,
                 algorithm=CZ_ADA_NORMAL_GP,
                 reward_kernel=Product(

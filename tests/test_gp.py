@@ -367,7 +367,8 @@ class TestConfidenceBounds:
         rng = np.random.default_rng(13)
         confidence = ConfidenceParams(rkhs_bound=1.0, noise_scale=1.0, failure_prob=0.1)
         player = Player(PlayerConfig(
-            player_index=0, num_actions=2, reward_kernel=SquaredExponential(lengthscale=1.0),
+            player_index=0, num_players=2, num_actions=2,
+            reward_kernel=SquaredExponential(lengthscale=1.0),
             confidence=confidence, beta_scale=0.5,
         ))
         model = player.reward_gp
@@ -590,7 +591,8 @@ class TestTargetColumns:
 
     # bounds are the learner's: beta_scale times beta at the model's gain
     LEARNER = Player(PlayerConfig(
-        player_index=0, num_actions=2, reward_kernel=SquaredExponential(lengthscale=1.0),
+        player_index=0, num_players=2, num_actions=2,
+        reward_kernel=SquaredExponential(lengthscale=1.0),
         confidence=ConfidenceParams(rkhs_bound=1.0, noise_scale=1.0, failure_prob=0.1),
         beta_scale=0.5,
     ))

@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from congames.config import ConfigError, parse_kernel
-from congames.game import (
-    default_constraint_kernel,
-    default_reward_kernel,
-    generate_random_game,
-)
+from congames.game import generate_random_game
 from congames.kernels import (
     KernelError,
     Matern,
@@ -24,6 +20,7 @@ from congames.kernels import (
     gram,
     kernel_to_config,
 )
+from congames.strategy import default_constraint_kernel, default_reward_kernel
 
 
 def gram_oracle(spec, points):

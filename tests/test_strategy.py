@@ -23,6 +23,8 @@ from congames.strategy import (
     Player,
     PlayerConfig,
     UniformPlayer,
+    default_constraint_kernel,
+    default_reward_kernel,
     renormalize,
 )
 
@@ -43,6 +45,7 @@ def make_config(algorithm=CZ_ADA_NORMAL_GP, num_constraints=1, **kw):
         reward_kernel = SquaredExponential(lengthscale=2.0)
     defaults = dict(
         player_index=0,
+        num_players=2,
         num_actions=3,
         algorithm=algorithm,
         reward_kernel=reward_kernel,
@@ -81,11 +84,20 @@ class TestPlayerConfig:
         with pytest.raises(ValueError, match="not a learning algorithm"):
             make_config(algorithm=RANDOM)
         with pytest.raises(ValueError, match="not a learning algorithm"):
-            PlayerConfig(player_index=0, num_actions=3, algorithm=RANDOM)
+            PlayerConfig(player_index=0, num_players=2, num_actions=3,
+                         confidence=confidence(), algorithm=RANDOM)
 
-    def test_requires_reward_model(self):
-        with pytest.raises(ValueError):
-            PlayerConfig(player_index=0, num_actions=3)
+    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != RANDOM])
+    @pytest.mark.parametrize("num_players", [2, 3])
+    def test_unset_kernels_are_the_generators(self, algorithm, num_players):
+        # over (joint action, z), or the joint action alone for a learner
+        # that ignores context
+        config = make_config(algorithm, num_players=num_players, reward_kernel=None,
+                             constraint_kernel=None)
+        kernel = default_reward_kernel(num_players)
+        assert kernel.split_index == num_players
+        assert config.reward_kernel == (kernel if config.uses_context else kernel.left)
+        assert config.constraint_kernel == default_constraint_kernel()
 
     @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != RANDOM])
     def test_expert_rule_follows_the_filter(self, algorithm):
@@ -98,10 +110,6 @@ class TestPlayerConfig:
         sleeping = isinstance(state, experts.SleepingExpertState)
         assert sleeping != isinstance(state, experts.HedgeState)
         assert sleeping == USES_CONSTRAINTS[algorithm]
-
-    def test_constraint_shape_validation(self):
-        with pytest.raises(ValueError, match="constraint kernel"):
-            make_config(num_constraints=2, constraint_kernel=None)
 
     def test_context_and_constraint_flags(self):
         assert make_config(CZ_ADA_NORMAL_GP).uses_context
@@ -206,8 +214,8 @@ class TestPlayer:
     def test_reward_inputs_layout(self, index, algorithm):
         # 3 players: the own action takes slot `index` of the joint action,
         # the opponents keep their order, and the context comes last
-        player = Player(make_config(algorithm, player_index=index))
-        rows = player._reward_inputs((5, 6), 2, np.arange(3))
+        config = make_config(algorithm, player_index=index, num_players=3)
+        rows = config.reward_inputs((5, 6), 2, np.arange(3))
         for a in range(3):
             joint = [5.0, 6.0]
             joint.insert(index, float(a))
@@ -217,8 +225,7 @@ class TestPlayer:
         assert rows.shape == (3, 4 if algorithm == CZ_ADA_NORMAL_GP else 3)
 
     def test_non_contextual_inputs_exclude_context(self):
-        player = Player(make_config(C_ADA_NORMAL_GP))
-        rows = player._reward_inputs((5,), 2, np.arange(3))
+        rows = make_config(C_ADA_NORMAL_GP).reward_inputs((5,), 2, np.arange(3))
         assert rows.shape == (3, 2)
 
     def test_observe_feedback_feeds_models(self):
@@ -238,15 +245,32 @@ class TestPlayer:
         assert state.rounds_seen == 1
 
     def test_constraint_model_is_context_free(self):
+        # the filter queries the one (K, 1) action grid, and an observation
+        # at any context is the own action's row of it
         player = Player(make_config())
-        np.testing.assert_allclose(player._constraint_input(2, 3), [2.0])
-        np.testing.assert_allclose(player._constraint_input(2, 0), [2.0])
+        np.testing.assert_array_equal(player.config.action_grid, [[0.0], [1.0], [2.0]])
+        played = []
+        for z in (3, 0):
+            played.append(player.select_action(z))
+            player.observe_feedback(played[-1], (2,), 0.7, [0.2])
+        assert player.constraint_gps[0].inputs.tolist() == [
+            [float(a)] for a in dict.fromkeys(played)]
+
+    @pytest.mark.parametrize("opponents", [(1,), (1, 2, 0)])
+    def test_opponents_length_checked(self, opponents):
+        # a learner in a 3-player game observes two opponents' actions
+        game = generate_random_game(0, num_players=3, num_actions=3, num_contexts=2)
+        player = build_player(PlayerBlock(algorithm=GPMW), game, 0, 0)
+        a = player.select_action(1)
+        with pytest.raises(ValueError, match="opponents"):
+            player.observe_feedback(a, opponents, 0.7, [0.2])
+        assert player.reward_gp.num_observations == 0
 
     def test_beta_scale_multiplies(self):
         # before any observation the means are 0, so a UCB is beta * std
         p1 = Player(make_config(beta_scale=1.0))
         p2 = Player(make_config(beta_scale=0.5))
-        rows = p1._reward_inputs((0,), 1, np.arange(3))
+        rows = p1.config.reward_inputs((0,), 1, np.arange(3))
         ucbs = p1._bounds(p1.reward_gp, rows, 1)
         assert np.all(ucbs > 0.0)
         np.testing.assert_allclose(p2._bounds(p2.reward_gp, rows, 1), 0.5 * ucbs)
@@ -364,7 +388,7 @@ class TestAwakeQueries:
 
     def test_clamp_events_count_awake_actions_only(self):
         player = TestRoundMask.trained_player()
-        rows = player._reward_inputs((0,), 1, np.arange(3))
+        rows = player.config.reward_inputs((0,), 1, np.arange(3))
         for _ in range(30):
             for row in rows:
                 player.reward_gp.add_observation(row, -1.0)
@@ -383,16 +407,14 @@ class TestAwakeQueries:
                              noisy_constraints):
             z, bucket, mask, pbar = self.round
             self.round = None
-            rows = self._reward_inputs(
+            rows = self.config.reward_inputs(
                 opponents_actions, z, np.arange(self.config.num_actions)
             )
             ucbs = self._bounds(self.reward_gp, rows, 1)
             self.router.update(bucket, mask, ucbs, pbar)
             self.reward_gp.add_observation(rows[own_action], noisy_reward)
             for gp in self.constraint_gps:
-                gp.add_observation(
-                    self._constraint_input(own_action, z), noisy_constraints
-                )
+                gp.add_observation(self.config.action_grid[own_action], noisy_constraints)
 
     @staticmethod
     def play(algorithm, reference):
